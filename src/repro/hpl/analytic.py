@@ -207,6 +207,158 @@ def _local_count(n: int, nb: int, nprocs: int) -> np.ndarray:
     return count
 
 
+class UpdateModel:
+    """The hybrid trailing update of one panel step, vectorized over ranks.
+
+    The vectorized twin of :mod:`repro.model.dgemm_model` for
+    ``C[m,n] += A[m,k] B[k,n]`` on every rank at once.  ``m`` holds the
+    trailing rows per grid row (shape ``(..., P, 1)``), ``n`` the trailing
+    columns per grid column (``(..., 1, Q)``) and ``k`` the panel width; a
+    leading axis batches sweep points (:mod:`repro.hpl.batch`).
+    ``xfer_factor`` >= 1 inflates every PCIe transfer term — the expected
+    cost of retried transfers under an active PCIe fault.
+
+    Everything that depends only on the step is computed once here and
+    shared by the fixed-point passes of :meth:`balanced_split` and the
+    final :meth:`makespan`.  The results are bit-identical to evaluating
+    the closed-form model directly: the only reassociated expressions are
+    products of exact integers below 2**53 (the work ``2 m1 n k`` and the
+    byte counts) and scalings by powers of two (``DOUBLE_BYTES``,
+    ``4 * latency``), and a ``np.where`` is skipped only when its mask is
+    all true.
+    """
+
+    def __init__(self, stepper: "AnalyticHpl", m, n, k, xfer_factor: float = 1.0) -> None:
+        cfg, table = stepper.config, stepper.table
+        self.w = w = 2.0 * m * n * k
+
+        def full(a):
+            # Invariants are stored at the grid's full shape: an op with a
+            # broadcast (P,1) or (1,Q) operand costs ~1.5x a contiguous one.
+            out = np.empty(w.shape)
+            out[...] = a
+            return out
+
+        self._m = full(m)
+        self._w_per_row = full(2.0 * n * k)
+        self._eff_max = stepper._eff_max
+        self._w_half = stepper._w_half
+        self._kernel_overhead = stepper._kernel_overhead2d
+        self._texture_limit = cfg.texture_limit
+        self._pipelined = cfg.pipelined
+        self._iterations = cfg.split_iterations
+
+        colsb = np.maximum(1, np.ceil(n / cfg.texture_limit))
+        self._colsb = full(colsb)
+        # With several column tiles everywhere, every live rank pipelines.
+        self._all_col_tiled = bool((colsb > 1).all())
+        # Bytes moved per task: A1 + B + C-in (beta=1) in, C out.
+        self._in_per_row = full(DOUBLE_BYTES * (k + n))
+        self._io_per_row = full(DOUBLE_BYTES * (k + 2 * n))
+        self._out_per_row = full(DOUBLE_BYTES * n)
+        self._b_bytes = full(DOUBLE_BYTES * (k * n))
+        # The pipeline prologue's first input tile, in bytes.
+        self._first_in_per_row = full(DOUBLE_BYTES * (k + n / colsb))
+        self._first_in_fixed = full(DOUBLE_BYTES * (k * n / colsb))
+
+        if cfg.host_bw_override is not None:
+            host_bw = cfg.host_bw_override
+        else:
+            host_bw = table.pinned_bw if cfg.pinned else table.pageable_bw
+        if xfer_factor != 1.0:
+            host_bw = host_bw / xfer_factor
+        self._host_bw = host_bw
+        self._per_byte_serial = 1.0 / host_bw + xfer_factor / table.gpu_bw
+        self._lat = table.pcie_latency * xfer_factor
+        self._lat3 = 3 * self._lat
+        self._lat4 = 4 * self._lat
+
+    def _times(self, gsplit, peak, cpu_rate_floor) -> tuple[np.ndarray, np.ndarray]:
+        """(t_gpu, t_cpu) per rank for GPU share *gsplit* at GPU *peak*.
+
+        *cpu_rate_floor* is the CPU rate clamped to at least 1e-9.
+        """
+        m1 = np.rint(self._m * gsplit)
+        w_gpu = m1 * self._w_per_row
+        w_cpu = self.w - w_gpu
+        # The masks' all-true test is a min reduction: one pass over the
+        # data instead of a compare and an all (NaN fails it, too).  All
+        # live implies m1 > 0 everywhere (the per-row work is >= 0): every
+        # rank then has at least one row tile and the task-count select is
+        # a no-op.
+        all_live = w_gpu.min() > 0
+        live = None if all_live else w_gpu > 0
+        eff = self._eff_max * w_gpu / (w_gpu + self._w_half)
+        rate = peak * (eff if all_live else np.where(live, eff, 0.0))
+        rows = np.ceil(m1 / self._texture_limit)
+        if all_live:
+            n_tasks = rows * self._colsb
+        else:
+            rows = np.maximum(1, rows)
+            n_tasks = np.where(m1 > 0, rows * self._colsb, 0)
+        t_kernel = n_tasks * self._kernel_overhead + w_gpu / np.maximum(rate, 1e-9)
+        if not all_live:
+            t_kernel = np.where(live, t_kernel, 0.0)
+
+        if self._pipelined:
+            first_in = m1 / rows * self._first_in_per_row + self._first_in_fixed
+            prologue = self._lat3 + first_in * self._per_byte_serial
+            io_bytes = m1 * self._io_per_row + self._b_bytes
+            t_link = n_tasks * self._lat4 + io_bytes / self._host_bw
+            t_gpu = np.maximum(t_kernel, t_link - prologue) + prologue
+            if not (all_live and self._all_col_tiled) and not n_tasks.min() > 1:
+                sync = self._t_sync(m1, n_tasks, t_kernel)
+                t_gpu = np.where(n_tasks > 1, t_gpu, sync)
+        else:
+            t_gpu = self._t_sync(m1, n_tasks, t_kernel)
+        if not all_live:
+            t_gpu = np.where(live, t_gpu, 0.0)
+
+        t_cpu = w_cpu / cpu_rate_floor
+        if not w_cpu.min() > 0:
+            t_cpu = np.where(w_cpu > 0, t_cpu, 0.0)
+        return t_gpu, t_cpu
+
+    def _t_sync(self, m1, n_tasks, t_kernel) -> np.ndarray:
+        """Unpipelined GPU time: all input, then the kernels, then all output."""
+        lat, per_byte = self._lat, self._per_byte_serial
+        t_in = 3 * n_tasks * lat + (m1 * self._in_per_row + self._b_bytes) * per_byte
+        t_out = n_tasks * lat + (m1 * self._out_per_row) * per_byte
+        return t_in + t_kernel + t_out
+
+    def makespan(self, gsplit, peak, cpu_rate) -> np.ndarray:
+        """Per-rank update time: the slower of the GPU and CPU shares."""
+        t_gpu, t_cpu = self._times(gsplit, peak, np.maximum(cpu_rate, 1e-9))
+        return np.maximum(t_gpu, t_cpu)
+
+    def balanced_split(self, peak, cpu_rate) -> np.ndarray:
+        """The level-1 fixed point GSplit <- P_G/(P_G+P_C).
+
+        Always ``split_iterations`` passes: the rounding of ``m * gsplit``
+        to whole rows turns tiny split changes into row moves, so an early
+        exit would change results.
+        """
+        w = self.w
+        cpu_rate_floor = np.maximum(cpu_rate, 1e-9)
+        gsplit = np.full(w.shape, 0.7)
+        for _ in range(self._iterations):
+            t_gpu, t_cpu = self._times(gsplit, peak, cpu_rate_floor)
+            w_gpu = w * gsplit
+            p_g = w_gpu / np.maximum(t_gpu, 1e-12)
+            if not t_gpu.min() > 0:
+                p_g = np.where(t_gpu > 0, p_g, 0.0)
+            p_c = (w - w_gpu) / np.maximum(t_cpu, 1e-12)
+            if not t_cpu.min() > 0:
+                p_c = np.where(t_cpu > 0, p_c, cpu_rate)
+            with np.errstate(invalid="ignore"):
+                new = p_g / np.maximum(p_g + p_c, 1e-9)
+            finite = np.isfinite(new)
+            if not finite.all():
+                new = np.where(finite, new, gsplit)
+            gsplit = np.clip(new, 0.01, 1.0)
+        return gsplit
+
+
 class AnalyticHpl:
     """One reusable stepper bound to a rate table, grid and interconnect."""
 
@@ -230,9 +382,9 @@ class AnalyticHpl:
         self.config = config
         self.faults = faults if faults else None
         self._rng = RngStream(config.seed).child("analytic").generator()
-        self._kernel_overhead2d = np.asarray(self.table.kernel_overhead)[
-            : grid.size
-        ].reshape(grid.nprow, grid.npcol)
+        self._kernel_overhead2d = self._grid_array(self.table.kernel_overhead)
+        self._eff_max = self._grid_array(self.table.eff_max)
+        self._w_half = self._grid_array(self.table.w_half)
 
     # -- per-rank 2-D views of the element population ------------------------------
     def _grid_array(self, flat: np.ndarray) -> np.ndarray:
@@ -242,59 +394,6 @@ class AnalyticHpl:
         if self.net is None or hops <= 0:
             return 0.0
         return hops * (self.net.latency + nbytes / self.net.bandwidth)
-
-    # -- the hybrid update model (vectorized twin of model.dgemm_model) ------------
-    def _update_times(
-        self,
-        m: np.ndarray,
-        n: np.ndarray,
-        k: int,
-        gsplit: np.ndarray,
-        gpu_rate_of,  # callable w_gpu -> rate array
-        cpu_rate: np.ndarray,
-        xfer_factor: float = 1.0,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(t_gpu, t_cpu, makespan) for C[m,n] += A[m,k] B[k,n] per rank.
-
-        ``xfer_factor`` >= 1 inflates every PCIe transfer term — the
-        expected cost of retried transfers under an active PCIe fault.
-        """
-        cfg = self.config
-        m1 = np.rint(m * gsplit)
-        w = 2.0 * m * n * k
-        w_gpu = 2.0 * m1 * n * k
-        w_cpu = w - w_gpu
-        rate = gpu_rate_of(w_gpu)
-        rows = np.maximum(1, np.ceil(m1 / cfg.texture_limit))
-        colsb = np.maximum(1, np.ceil(n / cfg.texture_limit))
-        n_tasks = np.where(m1 > 0, rows * colsb, 0)
-        t_kernel = np.where(
-            w_gpu > 0, n_tasks * self._kernel_overhead2d + w_gpu / np.maximum(rate, 1e-9), 0.0
-        )
-        if cfg.host_bw_override is not None:
-            host_bw = cfg.host_bw_override
-        else:
-            host_bw = self.table.pinned_bw if cfg.pinned else self.table.pageable_bw
-        if xfer_factor != 1.0:
-            host_bw = host_bw / xfer_factor
-        per_byte_serial = 1.0 / host_bw + xfer_factor / self.table.gpu_bw
-        in_bytes = (m1 * k + k * n + m1 * n) * DOUBLE_BYTES  # A1, B, C-in (beta=1)
-        out_bytes = m1 * n * DOUBLE_BYTES
-        lat = self.table.pcie_latency * xfer_factor
-        t_in = 3 * n_tasks * lat + in_bytes * per_byte_serial
-        t_out = n_tasks * lat + out_bytes * per_byte_serial
-        if cfg.pipelined:
-            first_in = (m1 / np.maximum(rows, 1) * (k + n / np.maximum(colsb, 1)) + k * n / np.maximum(colsb, 1)) * DOUBLE_BYTES
-            prologue = 3 * lat + first_in * per_byte_serial
-            t_link = 4 * n_tasks * lat + (in_bytes + out_bytes) / host_bw
-            t_pipe = np.maximum(t_kernel, t_link - prologue) + prologue
-            t_sync = t_in + t_kernel + t_out
-            t_gpu = np.where(n_tasks > 1, t_pipe, t_sync)
-        else:
-            t_gpu = t_in + t_kernel + t_out
-        t_gpu = np.where(w_gpu > 0, t_gpu, 0.0)
-        t_cpu = np.where(w_cpu > 0, w_cpu / np.maximum(cpu_rate, 1e-9), 0.0)
-        return t_gpu, t_cpu, np.maximum(t_gpu, t_cpu)
 
     def _publish_step(self, telemetry, trace: StepTrace, step_start: float) -> None:
         """One panel's spans (virtual timeline) and progress series."""
@@ -327,30 +426,6 @@ class AnalyticHpl:
         metrics.series("hpl.step_seconds", "per-panel step time").append(
             trace.step, trace.step_time
         )
-
-    def _balanced_split(
-        self,
-        m: np.ndarray,
-        n: np.ndarray,
-        k: int,
-        gpu_rate_of,
-        cpu_rate: np.ndarray,
-        xfer_factor: float = 1.0,
-    ) -> np.ndarray:
-        """The level-1 fixed point GSplit <- P_G/(P_G+P_C), vectorized."""
-        gsplit = np.full(m.shape, 0.7)
-        for _ in range(self.config.split_iterations):
-            t_gpu, t_cpu, _ = self._update_times(
-                m, n, k, gsplit, gpu_rate_of, cpu_rate, xfer_factor
-            )
-            w = 2.0 * m * n * k
-            w_gpu = w * gsplit
-            p_g = np.where(t_gpu > 0, w_gpu / np.maximum(t_gpu, 1e-12), 0.0)
-            p_c = np.where(t_cpu > 0, (w - w_gpu) / np.maximum(t_cpu, 1e-12), cpu_rate)
-            with np.errstate(invalid="ignore"):
-                new = p_g / np.maximum(p_g + p_c, 1e-9)
-            gsplit = np.clip(np.where(np.isfinite(new), new, gsplit), 0.01, 1.0)
-        return gsplit
 
     # -- the run -----------------------------------------------------------------------
     def run(
@@ -388,23 +463,13 @@ class AnalyticHpl:
         meas_sigma = var.measurement_sigma
 
         gpu_base = self._grid_array(table.gpu_peak)
-        eff_max = self._grid_array(table.eff_max)
-        w_half = self._grid_array(table.w_half)
         drift_depth = self._grid_array(table.drift_depth)
         cpu_hybrid = self._grid_array(table.cpu_hybrid_rate)
         cpu_even = self._grid_array(table.cpu_hybrid_even_rate)
         cpu_full = self._grid_array(table.cpu_full_rate)
         initial_gsplit = self._grid_array(table.initial_gsplit)
 
-        def gpu_rate_factory(peak_now: np.ndarray):
-            def rate_of(w_gpu: np.ndarray) -> np.ndarray:
-                eff = np.where(w_gpu > 0, eff_max * w_gpu / (w_gpu + w_half), 0.0)
-                return peak_now * eff
-
-            return rate_of
-
         # Qilin: one training realisation, frozen for the whole run.
-        frozen_split_of = None
         if cfg.mapping == "qilin":
             train_noise = SlowNoise(
                 grid.size, var.slow_noise_sigma, var.slow_noise_rho,
@@ -422,10 +487,6 @@ class AnalyticHpl:
                 )
             else:
                 train_cpu = cpu_even
-            train_rate_of = gpu_rate_factory(train_peak)
-
-            def frozen_split_of(m: np.ndarray, nn: np.ndarray, k: int) -> np.ndarray:
-                return self._balanced_split(m, nn, k, train_rate_of, train_cpu)
 
         # Fault injection: one fresh injector per run replays the schedule
         # against this run's virtual clock (deterministic for a fixed spec
@@ -441,6 +502,10 @@ class AnalyticHpl:
         cum_flops = 0.0
         steps: list[StepTrace] = []
         total_flops = lu_flops(n)
+        # Per-run constants of the loop below.
+        total_rows = _local_count(n, nb, P)
+        total_cols = _local_count(n, nb, Q)
+        cpu_panel_rate = float(np.mean(cpu_hybrid)) * cfg.panel_efficiency
 
         for jb in range(n_blocks):
             j = jb * nb
@@ -461,14 +526,14 @@ class AnalyticHpl:
                 gpu_ok = None
                 xfer_factor = 1.0
             peak_now = gpu_base * drift * gpu_slow * fault_gpu
-            rate_of = gpu_rate_factory(peak_now)
 
             m_after = _first_local_at_or_after(j + jbw, nb, P)
-            m_loc = _local_count(n, nb, P) - m_after  # rows below the panel, per grid row
+            m_loc = total_rows - m_after  # rows below the panel, per grid row
             n_after = _first_local_at_or_after(j + jbw, nb, Q)
-            n_loc = _local_count(n, nb, Q) - n_after  # trailing cols per grid col
-            m2 = m_loc[:, None] * np.ones((1, Q))
-            n2 = np.ones((P, 1)) * n_loc[None, :]
+            n_loc = total_cols - n_after  # trailing cols per grid col
+            m_rows = m_loc[:, None].astype(float)
+            n_cols = n_loc[None, :].astype(float)
+            model = UpdateModel(self, m_rows, n_cols, jbw, xfer_factor)
 
             # -- choose the split per mapping --------------------------------------
             if cfg.mapping == "cpu_only":
@@ -481,7 +546,9 @@ class AnalyticHpl:
                 gsplit = initial_gsplit.copy()
                 cpu_rate = cpu_even * cpu_slow
             elif cfg.mapping == "qilin":
-                gsplit = frozen_split_of(m2, n2, jbw)
+                # Trained before the run, so blind to any PCIe fault.
+                trained = model if xfer_factor == 1.0 else UpdateModel(self, m_rows, n_cols, jbw)
+                gsplit = trained.balanced_split(train_peak, train_cpu)
                 cpu_rate = cpu_even * cpu_slow
             else:  # adaptive: fresh (last-step) measurements, level-2 balanced
                 cpu_rate = (cpu_hybrid if cfg.level2 else cpu_even) * cpu_slow
@@ -491,10 +558,7 @@ class AnalyticHpl:
                     )
                 else:
                     mfac = np.ones((2, P, Q))
-                measured_rate_of = gpu_rate_factory(peak_now * mfac[0])
-                gsplit = self._balanced_split(
-                    m2, n2, jbw, measured_rate_of, cpu_rate * mfac[1], xfer_factor
-                )
+                gsplit = model.balanced_split(peak_now * mfac[0], cpu_rate * mfac[1])
 
             # -- graceful degradation -------------------------------------------------
             # Stragglers hit every mapping (the hardware is simply slower);
@@ -514,15 +578,12 @@ class AnalyticHpl:
                 injector.note_load(np.broadcast_to(gsplit, (P, Q)).ravel(), elapsed)
 
             # -- the trailing update (slowest rank gates the step) ------------------
-            t_gpu_u, t_cpu_u, makespan = self._update_times(
-                m2, n2, jbw, gsplit, rate_of, cpu_rate, xfer_factor
-            )
+            makespan = model.makespan(gsplit, peak_now, cpu_rate)
             if cfg.endgame_cpu_fallback and cfg.mapping not in ("cpu_only",):
                 # Future-work optimization: reclaim the transfer core and run
                 # small updates on all four cores when that is faster.
-                w_step = 2.0 * m2 * n2 * jbw
                 t_cpu_full = np.where(
-                    w_step > 0, w_step / np.maximum(cpu_full * cpu_slow * fault_cpu, 1e-9), 0.0
+                    model.w > 0, model.w / np.maximum(cpu_full * cpu_slow * fault_cpu, 1e-9), 0.0
                 )
                 makespan = np.minimum(makespan, t_cpu_full)
             t_update = float(makespan.max()) if makespan.size else 0.0
@@ -531,13 +592,12 @@ class AnalyticHpl:
             # the update — it is BLAS3 of jbw^2 x n_loc flops, ~NB/2M of the
             # update, so charge it at the update's effective hybrid rate.
             n_loc_max = int(n_loc.max()) if n_loc.size else 0
-            w_update_max = float((2.0 * m2 * n2 * jbw).max()) if makespan.size else 0.0
+            w_update_max = float(model.w.max()) if makespan.size else 0.0
             hybrid_rate = w_update_max / t_update if t_update > 0 else float(np.mean(cpu_rate))
             t_dtrsm = (jbw * jbw * n_loc_max) / max(hybrid_rate, 1e-9)
 
             # -- panel factorization + communication --------------------------------
             panel_rows_local = max(int(np.ceil((n - j) / P)), jbw) if P > 1 else n - j
-            cpu_panel_rate = float(np.mean(cpu_hybrid)) * cfg.panel_efficiency
             t_panel = (panel_rows_local * jbw * jbw - jbw**3 / 3.0) / cpu_panel_rate
             if P > 1:
                 # pivot search allreduce per column of the panel

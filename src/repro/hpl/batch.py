@@ -36,6 +36,7 @@ import numpy as np
 from repro.hpl.analytic import (
     AnalyticHpl,
     AnalyticResult,
+    UpdateModel,
     panel_bcast_critical_time,
     panel_bcast_time,
 )
@@ -141,22 +142,12 @@ def run_batch(
 
     ga = stepper._grid_array
     gpu_base = ga(table.gpu_peak)
-    eff_max = ga(table.eff_max)
-    w_half = ga(table.w_half)
     drift_depth = ga(table.drift_depth)
     cpu_hybrid = ga(table.cpu_hybrid_rate)
     cpu_even = ga(table.cpu_hybrid_even_rate)
     cpu_full = ga(table.cpu_full_rate)
     initial_gsplit = ga(table.initial_gsplit)
 
-    def gpu_rate_factory(peak_now: np.ndarray):
-        def rate_of(w_gpu: np.ndarray) -> np.ndarray:
-            eff = np.where(w_gpu > 0, eff_max * w_gpu / (w_gpu + w_half), 0.0)
-            return peak_now * eff
-
-        return rate_of
-
-    frozen_split_of = None
     if cfg.mapping == "qilin":
         train_noise = SlowNoise(
             grid.size, var.slow_noise_sigma, var.slow_noise_rho,
@@ -174,10 +165,6 @@ def run_batch(
             )
         else:
             train_cpu = cpu_even
-        train_rate_of = gpu_rate_factory(train_peak)
-
-        def frozen_split_of(m: np.ndarray, nn: np.ndarray, k: np.ndarray) -> np.ndarray:
-            return stepper._balanced_split(m, nn, k, train_rate_of, train_cpu)
 
     # Per-point block-cyclic totals (constant over the run).
     total_rows = _local_count_batch(nv, nbv, P)  # (B, P)
@@ -204,14 +191,16 @@ def run_batch(
         else:
             drift = np.broadcast_to(1.0 - drift_depth, (B, P, Q))
         peak_now = gpu_base[None, :, :] * drift * gpu_slow[None, :, :]
-        rate_of = gpu_rate_factory(peak_now)
 
         g = j + jbw
         m_loc = np.maximum(total_rows - _first_local_at_or_after_batch(g, nbv, P), 0)
         n_loc = np.maximum(total_cols - _first_local_at_or_after_batch(g, nbv, Q), 0)
-        m2 = m_loc[:, :, None] * np.ones((1, 1, Q))
-        n2 = np.ones((1, P, 1)) * n_loc[:, None, :]
-        k3 = jbw.astype(float)[:, None, None]
+        model = UpdateModel(
+            stepper,
+            m_loc[:, :, None].astype(float),
+            n_loc[:, None, :].astype(float),
+            jbw.astype(float)[:, None, None],
+        )
 
         if cfg.mapping == "cpu_only":
             gsplit = np.zeros((B, P, Q))
@@ -223,7 +212,7 @@ def run_batch(
             gsplit = np.broadcast_to(initial_gsplit, (B, P, Q))
             cpu_rate = cpu_even * cpu_slow
         elif cfg.mapping == "qilin":
-            gsplit = frozen_split_of(m2, n2, k3)
+            gsplit = model.balanced_split(train_peak, train_cpu)
             cpu_rate = cpu_even * cpu_slow
         else:  # adaptive
             cpu_rate = (cpu_hybrid if cfg.level2 else cpu_even) * cpu_slow
@@ -231,20 +220,18 @@ def run_batch(
                 mfac = np.exp(rng.normal(-0.5 * meas_sigma**2, meas_sigma, (2, P, Q)))
             else:
                 mfac = np.ones((2, P, Q))
-            measured_rate_of = gpu_rate_factory(peak_now * mfac[0])
-            gsplit = stepper._balanced_split(m2, n2, k3, measured_rate_of, cpu_rate * mfac[1])
+            gsplit = model.balanced_split(peak_now * mfac[0], cpu_rate * mfac[1])
 
-        _, _, makespan = stepper._update_times(m2, n2, k3, gsplit, rate_of, cpu_rate)
+        makespan = model.makespan(gsplit, peak_now, cpu_rate)
         if cfg.endgame_cpu_fallback and cfg.mapping not in ("cpu_only",):
-            w_step = 2.0 * m2 * n2 * k3
             t_cpu_full = np.where(
-                w_step > 0, w_step / np.maximum(cpu_full * cpu_slow, 1e-9), 0.0
+                model.w > 0, model.w / np.maximum(cpu_full * cpu_slow, 1e-9), 0.0
             )
             makespan = np.minimum(makespan, t_cpu_full)
         t_update = makespan.max(axis=(1, 2))
 
         n_loc_max = n_loc.max(axis=1)
-        w_update_max = (2.0 * m2 * n2 * k3).max(axis=(1, 2))
+        w_update_max = model.w.max(axis=(1, 2))
         # Guard matches the scalar oracle's `if t_update > 0` branch: real
         # update times are far above the 1e-300 floor, and t_update == 0
         # takes the mean-CPU-rate branch exactly as the scalar code does.
