@@ -16,9 +16,10 @@ each against the serial scalar oracle *on the same machine*:
   legacy relay-heavy scalar mix (event pooling + O(1) barriers, its own
   ``--des-scalar-floor``), both under a NullSink telemetry.
 * ``des_feasibility`` — the "largest DES-feasible machine" tracker: runs
-  the grid-scale crossval cells (distributed LU on 2x2..8x8 grids; 16x16
-  in full mode) and records the largest rank count that verifies inside
-  the wall-clock budget.  ``--check`` pins the floor at 64 ranks.
+  the grid-scale crossval cells (distributed LU on 2x2..8x8 grids), then
+  keeps doubling the grid until the wall-clock budget binds, and records
+  the largest rank count that verifies inside it plus the 8x8 cell's
+  event rate.  ``--check`` pins the floor at 64 ranks.
 * ``telemetry_overhead`` — an instrumented fig9 sweep three ways (no
   telemetry, NullSink, streaming run ledger); the streaming measurement is
   recorded *into the ledger it creates*, and ``--check`` gates the
@@ -306,41 +307,67 @@ def bench_des(quick: bool) -> dict:
     }
 
 
-def bench_des_feasibility(quick: bool) -> dict:
-    """The "largest DES-feasible machine" tracker.
-
-    Runs the grid-scale crossval cells (numeric distributed LU over
-    simulated MPI, one FlopsEngine per rank) and records, per grid, the
-    wall cost and kernel throughput — and overall, the largest rank count
-    whose cell verifies inside :data:`FEASIBILITY_BUDGET_S`.
-    """
-    from repro.verify.gridcases import GRID_MATRIX, GRID_MATRIX_SLOW, run_grid_case
+def _feasibility_ladder():
+    """The binomial grid crossval cells, then P = Q doubling at n = 32 P, unbounded."""
+    from repro.verify.gridcases import GRID_MATRIX, GridCase
 
     cases = [c for c in GRID_MATRIX if c.bcast_algo == "binomial"]
-    if not quick:
-        cases += [c for c in GRID_MATRIX_SLOW if c.bcast_algo == "binomial"]
+    yield from cases
+    p = cases[-1].nprow
+    while True:
+        p *= 2
+        yield GridCase(name=f"grid{p}x{p}", nprow=p, npcol=p, n=32 * p, nb=8)
+
+
+def bench_des_feasibility() -> dict:
+    """The "largest DES-feasible machine" tracker: an open-ended grid ladder.
+
+    Climbs :func:`_feasibility_ladder` (numeric distributed LU over
+    simulated MPI, one FlopsEngine per rank) until a cell fails
+    verification or misses :data:`FEASIBILITY_BUDGET_S`.  A rung whose
+    predicted wall — the last wall times the last growth ratio — exceeds
+    the budget is not started.  Per cell, ``wall_seconds`` is the whole
+    cell (networked and reference factorizations plus the checks), the
+    budget wall; ``events_per_second`` divides the networked run's events
+    by that run's own time inside ``Simulator.run``.
+    """
+    from repro.verify.gridcases import run_grid_case
+
     cells = []
     largest = 0
-    for case in cases:
+    predicted = None  # the wall predicted for the first rung not started
+    for case in _feasibility_ladder():
+        if len(cells) >= 2:
+            last, before = cells[-1]["wall_seconds"], cells[-2]["wall_seconds"]
+            if last * last / before > FEASIBILITY_BUDGET_S:
+                predicted = last * last / before
+                break
         outcome, wall = _timed(lambda case=case: run_grid_case(case))
-        events = outcome.sim_stats.events_processed
+        stats = outcome.sim_stats
         feasible = outcome.ok and wall <= FEASIBILITY_BUDGET_S
         cells.append({
             "name": case.name,
             "ranks": case.ranks,
             "n": case.n,
-            "events_processed": events,
+            "events_processed": stats.events_processed,
             "wall_seconds": wall,
-            "events_per_second": events / wall if wall > 0 else None,
+            "events_per_second": (
+                stats.events_processed / stats.wall_seconds if stats.wall_seconds > 0 else None
+            ),
             "verified": outcome.ok,
             "feasible": feasible,
         })
-        if feasible:
-            largest = max(largest, case.ranks)
+        if not feasible:
+            break
+        largest = case.ranks
     return {
         "budget_seconds": FEASIBILITY_BUDGET_S,
         "cells": cells,
         "largest_feasible_ranks": largest,
+        "next_rung_predicted_seconds": predicted,
+        "grid8x8_events_per_second": next(
+            (c["events_per_second"] for c in cells if c["name"] == "grid8x8"), None
+        ),
     }
 
 
@@ -358,7 +385,7 @@ def run_benchmarks(quick: bool, jobs: int) -> dict:
         "crossval": bench_crossval(quick, jobs),
         "cache": bench_cache(sizes, jobs),
         "des_engine": bench_des(quick),
-        "des_feasibility": bench_des_feasibility(quick),
+        "des_feasibility": bench_des_feasibility(),
         "telemetry_overhead": bench_telemetry_overhead(QUICK_SIZES),
     }
 
@@ -539,7 +566,8 @@ def main(argv=None) -> int:
         for c in fe["cells"]
     )
     print(f"feas     largest DES-feasible machine {fe['largest_feasible_ranks']} ranks "
-          f"(budget {fe['budget_seconds']:.0f}s)  [{cell_text}]")
+          f"(budget {fe['budget_seconds']:.0f}s)  [{cell_text}]  "
+          f"8x8 {fe['grid8x8_events_per_second'] or 0:,.0f} events/s")
     to = report["telemetry_overhead"]
     print(f"obs      bare {to['bare_seconds']:.2f}s  null {to['null_sink_seconds']:.2f}s "
           f"({to['null_overhead']:+.1%})  streaming {to['streaming_seconds']:.2f}s "

@@ -16,7 +16,9 @@ iteration):
    per-rank volume the analytic model charges.
 3. **Pivot application** — each grid column applies the row interchanges to
    its non-panel columns; rows living on different grid rows are exchanged
-   point-to-point, in pivot order.
+   point-to-point, in pivot order.  The step's :func:`swap_plan` (built once
+   per distinct pivot vector, shared by all ranks) lists each grid row's
+   swaps, so a rank visits only the swaps that touch its own rows.
 4. **U block row** — the grid row owning the diagonal block solves
    ``U12 = L11^-1 A12`` on its local trailing columns and broadcasts it down
    each grid column (column-scoped sub-communicator).
@@ -166,6 +168,39 @@ class FactorResult:
     messages: int
 
 
+#: One plan entry: ``(i, mine, other, peer)`` — see :func:`swap_plan`.
+Swap = tuple[int, int, int, int]
+
+
+def swap_plan(piv: np.ndarray, j: int, rows: BlockCyclic) -> list[list[Swap]]:
+    """One step's row interchanges, split by grid row, in pivot order.
+
+    Swap ``i`` exchanges global rows ``j + i`` and ``piv[i]`` (skipped when
+    they are equal).  ``plan[p]`` lists, in pivot order, every swap in which
+    grid row ``p`` owns one of the two rows, as ``(i, mine, other, peer)``:
+    ``mine`` is the local index of ``p``'s row; ``peer == -1`` means ``p``
+    owns both rows and ``other`` is the second local index; otherwise
+    ``other`` is ``-1`` and the second row lives on grid row ``peer``, so
+    the two rows are exchanged point to point.
+    """
+    plan: list[list[Swap]] = [[] for _ in range(rows.nprocs)]
+    for i, r2 in enumerate(piv.tolist()):
+        r1 = j + i
+        if r1 == r2:
+            continue
+        for g in (r1, r2):  # the range check BlockCyclic.owner makes
+            if not 0 <= g < rows.n:
+                raise ValueError(f"index {g} out of range")
+        o1, l1 = rows.to_local(r1)
+        o2, l2 = rows.to_local(r2)
+        if o1 == o2:
+            plan[o1].append((i, l1, l2, -1))
+        else:
+            plan[o1].append((i, l1, -1, o2))
+            plan[o2].append((i, l2, -1, o1))
+    return plan
+
+
 def distribute_matrix(grid: ProcessGrid, a: np.ndarray, nb: int) -> list[np.ndarray]:
     """Scatter a global matrix into per-rank block-cyclic local arrays."""
     n_rows, n_cols = a.shape
@@ -223,11 +258,16 @@ class DistributedLU:
         n = a.shape[0]
         locals_ = distribute_matrix(self.grid, a, self.nb)
         piv_store: dict[int, list[np.ndarray]] = {}
+        swap_plans: dict[tuple[int, bytes], list[list[Swap]]] = {}
+        rows = BlockCyclic(n, self.nb, self.grid.nprow)
+        row_globals = [rows.globals_of(p) for p in range(self.grid.nprow)]
         start = self.sim.now
         values = run_ranks(
             self.sim,
             self.world,
-            lambda comm: self._rank_lu(comm.rank, n, locals_[comm.rank], comm, piv_store),
+            lambda comm: self._rank_lu(
+                comm.rank, n, locals_[comm.rank], comm, piv_store, swap_plans, row_globals
+            ),
             name="lu.rank",
         )
         elapsed = self.sim.now - start
@@ -260,6 +300,8 @@ class DistributedLU:
         local: np.ndarray,
         comm: SimComm,
         piv_store: dict[int, list[np.ndarray]],
+        swap_plans: dict[tuple[int, bytes], list[list[Swap]]],
+        row_globals: list[np.ndarray],
     ) -> Generator[Event, Any, float]:
         sim = self.sim
         t0 = sim.now
@@ -270,22 +312,30 @@ class DistributedLU:
         col_group = grid.col_comm(comm)
         row_group = grid.row_comm(comm)
         engine = self.engines[rank]
-        my_row_globals = rows.globals_of(p)
+        my_row_globals = row_globals[p]
         my_pivs: list[np.ndarray] = []
         piv_store[rank] = my_pivs
 
         n_blocks = -(-n // nb)
+        # Step k spans global indices [k*nb, (k+1)*nb) clipped to n.
+        # row_at[k] / col_at[k] is this rank's first local row / column at or
+        # after k*nb; on the grid row / column that owns index k*nb it is
+        # that index's local position.
+        bounds = [min(k * nb, n) for k in range(n_blocks + 1)]
+        row_at = [rows.first_local_at_or_after(p, g) for g in bounds]
+        col_at = [cols.first_local_at_or_after(q, g) for g in bounds]
+        n_local_rows, n_local_cols = local.shape
         for jb in range(n_blocks):
             j = jb * nb
             jbw = min(nb, n - j)
             owner_q = jb % grid.npcol
             owner_p = jb % grid.nprow
+            lr0, lr1 = row_at[jb], row_at[jb + 1]
+            lcp, lc1 = col_at[jb], col_at[jb + 1]
 
             # 1. Panel gather (within the owning grid column) + factor.
-            lr0 = rows.first_local_at_or_after(p, j)
             part = None
             if q == owner_q:
-                lcp = cols.local_index(j)
                 contribution = (my_row_globals[lr0:], local[lr0:, lcp : lcp + jbw].copy())
                 gathered = yield from col_group.gather(
                     contribution, root_local=owner_p, tag=("pg", jb)
@@ -300,8 +350,7 @@ class DistributedLU:
                     # Each grid row's share of L: its own globals >= j.
                     parts = []
                     for pp in range(grid.nprow):
-                        gsel = rows.globals_of(pp)
-                        gsel = gsel[rows.first_local_at_or_after(pp, j) :]
+                        gsel = row_globals[pp][rows.first_local_at_or_after(pp, j) :]
                         parts.append((np.ascontiguousarray(panel[gsel - j, :]), piv))
                 # 2a. Scatter the factored shares back down the owning column.
                 part = yield from col_group.scatterv(parts, root_local=owner_p, tag=("ps", jb))
@@ -313,36 +362,39 @@ class DistributedLU:
             )
             my_pivs.append(piv)
 
-            # 3. Apply the interchanges to the non-panel columns.
-            if q == owner_q:
-                lcp = cols.local_index(j)
-                other_cols = np.r_[0:lcp, lcp + jbw : local.shape[1]]
-            else:
-                other_cols = np.arange(local.shape[1])
-            yield from self._apply_swaps(local, piv, j, rows, p, q, other_cols, comm, jb)
+            # 3. Apply the interchanges to the non-panel columns, through the
+            # step's swap plan (built once by the first rank to get here).
+            plan_key = (jb, piv.tobytes())
+            plan = swap_plans.get(plan_key)
+            if plan is None:
+                plan = swap_plans[plan_key] = swap_plan(piv, j, rows)
+            swaps = plan[p]
+            n_other_cols = n_local_cols - jbw if q == owner_q else n_local_cols
+            if swaps and n_other_cols:
+                if q == owner_q:
+                    other_cols = np.r_[0:lcp, lcp + jbw : n_local_cols]
+                else:
+                    other_cols = slice(None)  # every local column
+                yield from self._apply_swaps(local, swaps, q, other_cols, comm, jb)
 
             # ...and write the factored share into the owning column's rows.
             if q == owner_q:
-                lcp = cols.local_index(j)
                 local[lr0:, lcp : lcp + jbw] = panel_rows
 
             # 4. U12 on the diagonal grid row, broadcast down each grid column.
             # Every rank in grid row owner_p holds L11 (the first jbw rows of
             # its share are globals j .. j+jbw-1, which that row owns).
-            lc1 = cols.first_local_at_or_after(q, j + jbw)
             u12 = None
-            if p == owner_p and lc1 < local.shape[1]:
-                lrp = rows.local_index(j)
-                a12 = local[lrp : lrp + jbw, lc1:]
+            if p == owner_p and lc1 < n_local_cols:
+                a12 = local[lr0 : lr0 + jbw, lc1:]
                 yield from engine.charge_cpu(dtrsm_flops(jbw, a12.shape[1]))
                 dtrsm(panel_rows[:jbw, :jbw], a12, side="left", uplo="lower", unit_diag=True)
                 u12 = a12
-            if grid.nprow > 1 and lc1 < local.shape[1]:
+            if grid.nprow > 1 and lc1 < n_local_cols:
                 u12 = yield from col_group.bcast(u12, root_local=owner_p, tag=("ub", jb))
 
             # 5. Local trailing update through the engine (the hybrid DGEMM).
-            lr1 = rows.first_local_at_or_after(p, j + jbw)
-            if lr1 < local.shape[0] and lc1 < local.shape[1] and u12 is not None:
+            if lr1 < n_local_rows and lc1 < n_local_cols and u12 is not None:
                 l21 = panel_rows[lr1 - lr0 :, :]
                 c = local[lr1:, lc1:]
                 yield from engine.dgemm_update(l21, u12, c)
@@ -351,40 +403,20 @@ class DistributedLU:
     def _apply_swaps(
         self,
         local: np.ndarray,
-        piv: np.ndarray,
-        j: int,
-        rows: BlockCyclic,
-        p: int,
+        swaps: list[Swap],
         q: int,
-        other_cols: np.ndarray,
+        other_cols: "np.ndarray | slice",
         comm: SimComm,
         jb: int,
     ) -> Generator[Event, Any, None]:
-        """Exchange pivot rows across grid rows, in pivot order."""
-        if len(other_cols) == 0:
-            return
+        """Apply this grid row's entries of a swap plan, in pivot order."""
         grid = self.grid
-        for i, r2 in enumerate(piv):
-            r1 = j + i
-            if r1 == r2:
-                continue
-            o1, o2 = rows.owner(r1), rows.owner(r2)
-            if p == o1 == o2:
-                l1, l2 = rows.local_index(r1), rows.local_index(r2)
-                tmp = local[l1, other_cols].copy()
-                local[l1, other_cols] = local[l2, other_cols]
-                local[l2, other_cols] = tmp
-            elif p == o1:
-                l1 = rows.local_index(r1)
-                peer = grid.rank_of(o2, q)
-                theirs = yield from comm.sendrecv(
-                    local[l1, other_cols].copy(), peer, tag=("sw", jb, i)
-                )
-                local[l1, other_cols] = theirs
-            elif p == o2:
-                l2 = rows.local_index(r2)
-                peer = grid.rank_of(o1, q)
-                theirs = yield from comm.sendrecv(
-                    local[l2, other_cols].copy(), peer, tag=("sw", jb, i)
-                )
-                local[l2, other_cols] = theirs
+        for i, mine, other, peer in swaps:
+            if peer < 0:
+                tmp = local[mine, other_cols].copy()
+                local[mine, other_cols] = local[other, other_cols]
+                local[other, other_cols] = tmp
+            else:  # sendrecv with the peer, without its generator frame
+                peer_rank, tag = grid.rank_of(peer, q), ("sw", jb, i)
+                comm.isend(local[mine, other_cols].copy(), peer_rank, tag)
+                local[mine, other_cols] = (yield comm.irecv(peer_rank, tag)).payload

@@ -33,11 +33,13 @@ class ProcessGrid:
 
     def coords(self, rank: int) -> tuple[int, int]:
         """(grid row, grid column) of *rank*."""
-        require(0 <= rank < self.size, f"rank {rank} out of range")
+        if not 0 <= rank < self.nprow * self.npcol:
+            raise ValueError(f"rank {rank} out of range")
         return rank // self.npcol, rank % self.npcol
 
     def rank_of(self, p: int, q: int) -> int:
-        require(0 <= p < self.nprow and 0 <= q < self.npcol, f"coords ({p},{q}) out of range")
+        if not (0 <= p < self.nprow and 0 <= q < self.npcol):
+            raise ValueError(f"coords ({p},{q}) out of range")
         return p * self.npcol + q
 
     def row_members(self, p: int) -> list[int]:
@@ -82,7 +84,8 @@ class BlockCyclic:
 
     def owner(self, g: int) -> int:
         """The process owning global index *g*."""
-        require(0 <= g < self.n, f"index {g} out of range")
+        if not 0 <= g < self.n:
+            raise ValueError(f"index {g} out of range")
         return (g // self.nb) % self.nprocs
 
     def to_local(self, g: int) -> tuple[int, int]:
@@ -130,7 +133,8 @@ class BlockCyclic:
         Because local order preserves global order, the local indices at or
         after this value form exactly the trailing-submatrix suffix.
         """
-        require(0 <= g <= self.n, f"index {g} out of range")
+        if not 0 <= g <= self.n:
+            raise ValueError(f"index {g} out of range")
         if g >= self.n:
             return self.local_count(proc)
         block, offset = divmod(g, self.nb)

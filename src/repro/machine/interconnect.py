@@ -11,7 +11,7 @@ effects to topology, only to the 40 Gb/s / 1.2 us figures it quotes).
 from __future__ import annotations
 
 from repro.machine.specs import InterconnectSpec
-from repro.sim import BandwidthChannel, Event, Simulator
+from repro.sim import BandwidthChannel, Event, Simulator, Timeout
 from repro.util.validation import require
 
 
@@ -27,7 +27,8 @@ class Interconnect:
 
     def port(self, rank: int) -> BandwidthChannel:
         """The injection port of *rank* (created lazily)."""
-        require(0 <= rank < self.n_ranks, f"rank {rank} out of range")
+        if not 0 <= rank < self.n_ranks:
+            raise ValueError(f"rank {rank} out of range")
         channel = self._ports.get(rank)
         if channel is None:
             channel = BandwidthChannel(
@@ -41,10 +42,14 @@ class Interconnect:
 
         A self-send completes after the latency only (memcpy, no injection).
         """
-        require(0 <= dst < self.n_ranks, f"rank {dst} out of range")
+        if not 0 <= dst < self.n_ranks:
+            raise ValueError(f"rank {dst} out of range")
         if src == dst:
-            return self.sim.timeout(self.spec.latency, value=nbytes)
-        return self.port(src).transfer(nbytes)
+            return Timeout(self.sim, self.spec.latency, nbytes)
+        channel = self._ports.get(src)  # present only once port() validated src
+        if channel is None:
+            channel = self.port(src)
+        return channel.transfer(nbytes)
 
     def message_time(self, nbytes: float) -> float:
         """Uncontended alpha-beta time of one message."""

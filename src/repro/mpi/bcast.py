@@ -20,9 +20,9 @@ inherits (plus the generic binomial tree the rest of the code uses):
   instead of the full panel — the volume-optimal choice for long messages.
 
 Every algorithm is a generator function over the local-rank send/recv
-primitives of :class:`~repro.mpi.comm.CollectiveComm`, so it runs unchanged
-on the world communicator, a :class:`~repro.mpi.group.Group`, or anything
-``comm.split`` returns.
+primitives of :class:`~repro.mpi.comm.CollectiveComm` (it yields their
+events directly), so it runs unchanged on the world communicator, a
+:class:`~repro.mpi.group.Group`, or anything ``comm.split`` returns.
 """
 
 from __future__ import annotations
@@ -109,13 +109,13 @@ def bcast_binomial(comm, payload, root, tag):
     while mask < p:
         if rel & mask:
             src = (rel - mask + root) % p
-            payload = yield from comm._lrecv(src, tag)
+            payload = (yield comm._lirecv(src, tag)).payload
             break
         mask <<= 1
     mask >>= 1
     while mask > 0:
         if rel + mask < p:
-            yield from comm._lsend(payload, (rel + mask + root) % p, tag)
+            yield comm._lisend(payload, (rel + mask + root) % p, tag)
         mask >>= 1
     return payload
 
@@ -125,9 +125,9 @@ def bcast_1ring(comm, payload, root, tag):
     p = comm.size
     rel = (comm._lrank - root) % p
     if rel != 0:
-        payload = yield from comm._lrecv((comm._lrank - 1) % p, tag)
+        payload = (yield comm._lirecv((comm._lrank - 1) % p, tag)).payload
     if rel != p - 1:
-        yield from comm._lsend(payload, (comm._lrank + 1) % p, tag)
+        yield comm._lisend(payload, (comm._lrank + 1) % p, tag)
     return payload
 
 
@@ -139,15 +139,15 @@ def bcast_1rm(comm, payload, root, tag):
     rel = (comm._lrank - root) % p
     if rel == 0:
         # Serve the next panel's owner first, then seed the chain.
-        yield from comm._lsend(payload, (root + 1) % p, tag)
-        yield from comm._lsend(payload, (root + 2) % p, tag)
+        yield comm._lisend(payload, (root + 1) % p, tag)
+        yield comm._lisend(payload, (root + 2) % p, tag)
     elif rel == 1:
-        payload = yield from comm._lrecv(root % p, tag)
+        payload = (yield comm._lirecv(root % p, tag)).payload
     else:
         src = root % p if rel == 2 else (comm._lrank - 1) % p
-        payload = yield from comm._lrecv(src, tag)
+        payload = (yield comm._lirecv(src, tag)).payload
         if rel != p - 1:
-            yield from comm._lsend(payload, (comm._lrank + 1) % p, tag)
+            yield comm._lisend(payload, (comm._lrank + 1) % p, tag)
     return payload
 
 
@@ -161,9 +161,9 @@ def bcast_long(comm, payload, root, tag):
         pieces = split_payload(payload, p)
         mine = pieces[0]
         for r in range(1, p):
-            yield from comm._lsend(pieces[r], (root + r) % p, (tag, "sc"))
+            yield comm._lisend(pieces[r], (root + r) % p, (tag, "sc"))
     else:
-        mine = yield from comm._lrecv(root % p, (tag, "sc"))
+        mine = (yield comm._lirecv(root % p, (tag, "sc"))).payload
     # Ring allgather: in round k every rank passes the piece it holds to the
     # right and receives its left neighbour's, so after P-1 rounds everyone
     # holds all P pieces (indexed by relative rank).
@@ -173,8 +173,8 @@ def bcast_long(comm, payload, root, tag):
     left = (comm._lrank - 1) % p
     current = mine
     for k in range(p - 1):
-        yield from comm._lsend(current, right, (tag, "ag", k))
-        current = yield from comm._lrecv(left, (tag, "ag", k))
+        yield comm._lisend(current, right, (tag, "ag", k))
+        current = (yield comm._lirecv(left, (tag, "ag", k))).payload
         pieces[(rel - k - 1) % p] = current
     return join_payload(pieces)
 

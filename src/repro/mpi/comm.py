@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.machine.interconnect import Interconnect
 from repro.mpi.bcast import ALGORITHMS, canonical_algorithm
-from repro.sim import Event, SimulationError, Simulator
+from repro.sim import Event, SimulationError, Simulator, Timeout
 from repro.util.validation import require
 
 
@@ -58,7 +58,10 @@ def payload_nbytes(obj: Any) -> float:
     if isinstance(obj, (bool, int, float, np.integer, np.floating, np.bool_)):
         return 8.0
     if isinstance(obj, (tuple, list)):
-        return sum(payload_nbytes(x) for x in obj) + 16.0
+        total = 0
+        for x in obj:
+            total += payload_nbytes(x)
+        return total + 16.0
     if isinstance(obj, dict):
         return (
             sum(payload_nbytes(k) + payload_nbytes(v) for k, v in obj.items())
@@ -288,6 +291,10 @@ class SimMPI:
         # re-formatting strings per message.
         self._tag_ids: dict[Any, int] = {}
         self._tag_reprs: list[str] = []
+        # Sub-communicator tag memos, one per tag space (see Group._wire):
+        # tag -> (namespaced tag, its id), shared by every Group that uses
+        # the same tag space in this world.
+        self._group_tags: dict[Any, dict[Any, tuple[Any, int]]] = {}
         # Per-rank stack of (collective name, tag) currently entered; a
         # non-empty stack after the calendar drains means that rank is stuck.
         self._in_collective: list[list[tuple[str, Any]]] = [
@@ -301,11 +308,6 @@ class SimMPI:
     def comms(self) -> list["SimComm"]:
         """One communicator per rank (convenience for spawning rank processes)."""
         return [self.comm(r) for r in range(self.n_ranks)]
-
-    def _transit(self, src: int, dst: int, nbytes: float) -> Event:
-        if self.network is None:
-            return self.sim.timeout(0.0)
-        return self.network.send(src, dst, nbytes)
 
     def _intern_tag(self, tag: Any) -> int:
         """The small-int id (and cached repr) for *tag*.
@@ -323,17 +325,20 @@ class SimMPI:
             self._tag_reprs.append(repr(tag))
         return tag_id
 
-    def _post(self, src: int, dst: int, tag: Any, payload: Any) -> Event:
-        """Inject a message; returns the delivery event."""
+    def _post(self, src: int, dst: int, tag: Any, tag_id: int, payload: Any) -> Event:
+        """Inject a message (*tag_id* is ``_intern_tag(tag)``); returns the delivery event."""
+        if not 0 <= dst < self.n_ranks:
+            raise ValueError(f"dest {dst} out of range")
         nbytes = payload_nbytes(payload)
         self.messages_sent += 1
         self.bytes_sent += nbytes
-        tag_id = self._intern_tag(tag)
+        sim = self.sim
         if self.log is not None:
             tag_repr = repr(tag) if tag_id == _UNHASHABLE else self._tag_reprs[tag_id]
-            self.log.append(("post", self.sim.now, src, dst, tag_repr, nbytes))
-        transit = self._transit(src, dst, nbytes)
-        done = Event(self.sim)
+            self.log.append(("post", sim.now, src, dst, tag_repr, nbytes))
+        network = self.network
+        transit = Timeout(sim, 0.0) if network is None else network.send(src, dst, nbytes)
+        done = Event(sim)
 
         def on_arrival(_event: Event) -> None:
             if self.log is not None:
@@ -341,7 +346,7 @@ class SimMPI:
             self._mailboxes[dst].deliver(_Message(src, tag, payload), tag_id)
             done.succeed(None)
 
-        transit.add_callback(on_arrival)
+        transit.callbacks.append(on_arrival)  # a fresh event: not yet processed
         return done
 
     # -- blocked-collective bookkeeping -------------------------------------------
@@ -378,30 +383,21 @@ class SimMPI:
 class CollectiveComm:
     """The shared collective set, over abstract local-rank primitives.
 
-    Subclasses provide :attr:`size`, ``_lrank`` (this process's rank within
-    the communicator), ``_world``/``_world_rank`` (for deadlock bookkeeping),
-    and the ``_lisend``/``_lirecv``/``_lirecv_any`` event primitives; every
-    collective below is expressed purely in those, so world and
-    sub-communicators behave identically.
+    Subclasses set the attributes :attr:`size`, ``_lrank`` (this process's
+    rank within the communicator) and ``_world``/``_world_rank`` (for
+    deadlock bookkeeping), and provide the ``_lisend``/``_lirecv``/
+    ``_lirecv_any`` event primitives; every collective below is expressed
+    purely in those, so world and sub-communicators behave identically.
+    The collectives yield the primitives' events directly: a received
+    event's value is the message, whose ``payload`` is the data.
     """
 
+    size: int
+    _lrank: int
+    _world: SimMPI
+    _world_rank: int
+
     # -- subclass surface ---------------------------------------------------------
-    @property
-    def size(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def _lrank(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def _world(self) -> SimMPI:
-        raise NotImplementedError
-
-    @property
-    def _world_rank(self) -> int:
-        raise NotImplementedError
-
     def _lisend(self, payload: Any, dest: int, tag: Any) -> Event:
         raise NotImplementedError
 
@@ -422,23 +418,6 @@ class CollectiveComm:
     def _tag_space(self) -> Any:
         """A communicator-identifying value used to namespace derived comms."""
         raise NotImplementedError
-
-    # -- blocking wrappers the algorithms use -------------------------------------
-    def _lsend(self, payload: Any, dest: int, tag: Any) -> Generator[Event, Any, None]:
-        yield self._lisend(payload, dest, tag)
-
-    def _lrecv(self, source: int, tag: Any) -> Generator[Event, Any, Any]:
-        message = yield self._lirecv(source, tag)
-        return message.payload
-
-    def _lrecv_any(self, tag: Any) -> Generator[Event, Any, Any]:
-        message = yield self._lirecv_any(tag)
-        return message.payload
-
-    def _lsendrecv(self, payload: Any, peer: int, tag: Any) -> Generator[Event, Any, Any]:
-        self._lisend(payload, peer, tag)
-        message = yield self._lirecv(peer, tag)
-        return message.payload
 
     # -- collectives --------------------------------------------------------------
     def bcast(
@@ -470,11 +449,11 @@ class CollectiveComm:
         self._world._collective_enter(self._world_rank, "gather", tag)
         try:
             if self._lrank != root:
-                yield from self._lsend((self._lrank, payload), root, tag)
+                yield self._lisend((self._lrank, payload), root, tag)
                 return None
             items: dict[int, Any] = {root: payload}
             for _ in range(self.size - 1):
-                src, item = yield from self._lrecv_any(tag)
+                src, item = (yield self._lirecv_any(tag)).payload
                 items[src] = item
             return [items[r] for r in range(self.size)]
         finally:
@@ -498,9 +477,9 @@ class CollectiveComm:
                 )
                 for r in range(self.size):
                     if r != root:
-                        yield from self._lsend(parts[r], r, tag)
+                        yield self._lisend(parts[r], r, tag)
                 return parts[root]
-            return (yield from self._lrecv(root, tag))
+            return (yield self._lirecv(root, tag)).payload
         finally:
             self._world._collective_exit(self._world_rank)
 
@@ -517,8 +496,8 @@ class CollectiveComm:
             left = (self._lrank - 1) % p
             current = payload
             for k in range(p - 1):
-                yield from self._lsend(current, right, (tag, k))
-                current = yield from self._lrecv(left, (tag, k))
+                yield self._lisend(current, right, (tag, k))
+                current = (yield self._lirecv(left, (tag, k))).payload
                 items[(self._lrank - k - 1) % p] = current
             return items
         finally:
@@ -545,19 +524,19 @@ class CollectiveComm:
             mask = 1
             while mask < p:
                 if r & mask:
-                    yield from self._lsend(value, r - mask, (tag, mask))
+                    yield self._lisend(value, r - mask, (tag, mask))
                     value = None
                     break
                 if r + mask < p:
-                    other = yield from self._lrecv(r + mask, (tag, mask))
+                    other = (yield self._lirecv(r + mask, (tag, mask))).payload
                     value = op(value, other)
                 mask <<= 1
             if root != 0:
                 if r == 0:
-                    yield from self._lsend(value, root, (tag, "root"))
+                    yield self._lisend(value, root, (tag, "root"))
                     value = None
                 elif r == root:
-                    value = yield from self._lrecv(0, (tag, "root"))
+                    value = (yield self._lirecv(0, (tag, "root"))).payload
             return value
         finally:
             self._world._collective_exit(self._world_rank)
@@ -579,7 +558,8 @@ class CollectiveComm:
                 mask = 1
                 while mask < p:
                     peer = self._lrank ^ mask
-                    other = yield from self._lsendrecv(value, peer, (tag, mask))
+                    self._lisend(value, peer, (tag, mask))
+                    other = (yield self._lirecv(peer, (tag, mask))).payload
                     value = op(value, other) if self._lrank < peer else op(other, value)
                     mask <<= 1
                 return value
@@ -631,10 +611,10 @@ class SimComm(CollectiveComm):
     def __init__(self, world: SimMPI, rank: int) -> None:
         self.world = world
         self.rank = rank
-
-    @property
-    def size(self) -> int:
-        return self.world.n_ranks
+        self.size = world.n_ranks
+        self._lrank = rank
+        self._world = world
+        self._world_rank = rank
 
     @property
     def sim(self) -> Simulator:
@@ -643,8 +623,8 @@ class SimComm(CollectiveComm):
     # -- point to point -----------------------------------------------------------
     def isend(self, payload: Any, dest: int, tag: Any = 0) -> Event:
         """Post a send; the event completes on delivery."""
-        require(0 <= dest < self.size, f"dest {dest} out of range")
-        return self.world._post(self.rank, dest, tag, payload)
+        world = self.world
+        return world._post(self.rank, dest, tag, world._intern_tag(tag), payload)
 
     def send(self, payload: Any, dest: int, tag: Any = 0) -> Generator[Event, Any, None]:
         """Blocking send (generator): completes when delivered."""
@@ -652,10 +632,13 @@ class SimComm(CollectiveComm):
 
     def irecv(self, source: Optional[int] = None, tag: Any = None) -> Event:
         """Post a receive; the event succeeds with the matching message."""
-        mailbox = self.world._mailboxes[self.rank]
         if tag is None:
-            return mailbox.take_wild(source, None)
-        tag_id = self.world._intern_tag(tag)
+            return self.world._mailboxes[self.rank].take_wild(source, None)
+        return self._irecv(source, tag, self.world._intern_tag(tag))
+
+    def _irecv(self, source: Optional[int], tag: Any, tag_id: int) -> Event:
+        """:meth:`irecv` of a non-None *tag* interned as *tag_id*."""
+        mailbox = self.world._mailboxes[self.rank]
         if tag_id == _UNHASHABLE:
             return mailbox.take_wild(source, tag)
         if source is None:
@@ -678,18 +661,6 @@ class SimComm(CollectiveComm):
         return message.payload
 
     # -- CollectiveComm surface ---------------------------------------------------
-    @property
-    def _lrank(self) -> int:
-        return self.rank
-
-    @property
-    def _world(self) -> SimMPI:
-        return self.world
-
-    @property
-    def _world_rank(self) -> int:
-        return self.rank
-
     def _lisend(self, payload: Any, dest: int, tag: Any) -> Event:
         return self.isend(payload, dest, tag)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional, Sequence
 
-from repro.mpi.comm import CollectiveComm, SimComm, SimMPI
+from repro.mpi.comm import _UNHASHABLE, CollectiveComm, SimComm
 from repro.sim import Event
 from repro.util.validation import require
 
@@ -35,55 +35,51 @@ class Group(CollectiveComm):
         self.members = members
         self.local_rank = members.index(comm.rank)
         self.tag_space = tag_space
-        # Namespaced-tag memo: grid collectives reuse a small set of tags per
-        # group, so the (tag_space, tag) wrapper tuple is built once per tag
-        # instead of once per message.
-        self._tag_memo: dict[Any, Any] = {}
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def _tag(self, tag: Any) -> Any:
-        memo = self._tag_memo
+        self.size = len(members)
+        self._lrank = self.local_rank
+        self._world = comm.world
+        self._world_rank = comm.rank
+        # Tag memo: grid collectives reuse a small set of tags, so each tag's
+        # namespaced (tag_space, tag) wrapper and its world tag id are built
+        # once per tag space and world, not once per message or member.
         try:
-            cached = memo.get(tag)
-        except TypeError:  # unhashable tag: build the wrapper each time
-            return (self.tag_space, tag)
+            self._wired = comm.world._group_tags.setdefault(tag_space, {})
+        except TypeError:  # unhashable tag space: a memo of this group's own
+            self._wired = {}
+
+    def _wire(self, tag: Any) -> tuple[Any, int]:
+        """The namespaced wire tag for *tag* and its interned world id."""
+        wired = self._wired
+        try:
+            cached = wired.get(tag)
+        except TypeError:  # unhashable tag: wildcard path, wrapper each time
+            return (self.tag_space, tag), _UNHASHABLE
         if cached is None:
-            cached = memo[tag] = (self.tag_space, tag)
+            wrapped = (self.tag_space, tag)
+            cached = wired[tag] = (wrapped, self._world._intern_tag(wrapped))
         return cached
 
     # -- point to point (local-rank addressed) ------------------------------------
     def send(self, payload: Any, dest_local: int, tag: Any = 0) -> Generator[Event, Any, None]:
         """Send to the group member at *dest_local*."""
-        yield from self.comm.send(payload, self.members[dest_local], tag=self._tag(tag))
+        yield self._lisend(payload, dest_local, tag)
 
     def recv(self, source_local: int, tag: Any = 0) -> Generator[Event, Any, Any]:
         """Receive from the group member at *source_local*."""
-        return (yield from self.comm.recv(source=self.members[source_local], tag=self._tag(tag)))
+        return (yield self._lirecv(source_local, tag)).payload
 
     # -- CollectiveComm surface ---------------------------------------------------
-    @property
-    def _lrank(self) -> int:
-        return self.local_rank
-
-    @property
-    def _world(self) -> SimMPI:
-        return self.comm.world
-
-    @property
-    def _world_rank(self) -> int:
-        return self.comm.rank
-
     def _lisend(self, payload: Any, dest: int, tag: Any) -> Event:
-        return self.comm.isend(payload, self.members[dest], self._tag(tag))
+        wrapped, tag_id = self._wire(tag)
+        return self._world._post(self._world_rank, self.members[dest], wrapped, tag_id, payload)
 
     def _lirecv(self, source: int, tag: Any) -> Event:
-        return self.comm.irecv(self.members[source], self._tag(tag))
+        wrapped, tag_id = self._wire(tag)
+        return self.comm._irecv(self.members[source], wrapped, tag_id)
 
     def _lirecv_any(self, tag: Any) -> Event:
-        return self.comm.irecv(None, self._tag(tag))
+        wrapped, tag_id = self._wire(tag)
+        return self.comm._irecv(None, wrapped, tag_id)
 
     def _world_rank_of(self, local: int) -> int:
         return self.members[local]
@@ -94,7 +90,7 @@ class Group(CollectiveComm):
     def _tag_space(self) -> Any:
         return self.tag_space
 
-    # -- compat wrappers (historical ``root_local`` spelling) ---------------------
+    # -- ``root_local`` spellings: hand back the shared collective's generator --
     def bcast(  # type: ignore[override]
         self,
         payload: Any,
@@ -103,27 +99,19 @@ class Group(CollectiveComm):
         tag: Any = "__b__",
     ) -> Generator[Event, Any, Any]:
         """Broadcast from the member at *root_local* to the whole group."""
-        return (
-            yield from CollectiveComm.bcast(
-                self, payload, root=root_local, algorithm=algorithm, tag=tag
-            )
-        )
+        return CollectiveComm.bcast(self, payload, root=root_local, algorithm=algorithm, tag=tag)
 
     def gather(  # type: ignore[override]
         self, payload: Any, root_local: int = 0, tag: Any = "__g__"
     ) -> Generator[Event, Any, Optional[list]]:
         """Gather members' payloads (local-rank order) at *root_local*."""
-        return (
-            yield from CollectiveComm.gather(self, payload, root=root_local, tag=tag)
-        )
+        return CollectiveComm.gather(self, payload, root=root_local, tag=tag)
 
     def scatterv(  # type: ignore[override]
         self, parts: Optional[list], root_local: int = 0, tag: Any = "__sv__"
     ) -> Generator[Event, Any, Any]:
         """Scatter one piece per member from *root_local*."""
-        return (
-            yield from CollectiveComm.scatterv(self, parts, root=root_local, tag=tag)
-        )
+        return CollectiveComm.scatterv(self, parts, root=root_local, tag=tag)
 
     def reduce(  # type: ignore[override]
         self,
@@ -133,9 +121,7 @@ class Group(CollectiveComm):
         tag: Any = "__r__",
     ) -> Generator[Event, Any, Any]:
         """Reduce to the member at *root_local* (None elsewhere)."""
-        return (
-            yield from CollectiveComm.reduce(self, value, op=op, root=root_local, tag=tag)
-        )
+        return CollectiveComm.reduce(self, value, op=op, root=root_local, tag=tag)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Group {self.members} local {self.local_rank} tags {self.tag_space!r}>"

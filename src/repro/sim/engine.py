@@ -86,6 +86,12 @@ class SimStats:
         )
 
 
+#: The value of a not-yet-triggered event.  The kernel's hot paths test
+#: ``_value is _PENDING`` and ``callbacks is None`` directly instead of going
+#: through the ``triggered`` / ``processed`` properties.
+_PENDING = object()
+
+
 class Event:
     """A one-shot occurrence that processes can wait on.
 
@@ -97,8 +103,6 @@ class Event:
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_defused", "_poolable")
 
-    _PENDING = object()
-
     #: How many logical events this calendar entry stands for.  Plain events
     #: are singletons; :class:`BatchTimeout` overrides this per instance.
     _nevents = 1
@@ -106,7 +110,7 @@ class Event:
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
         self.callbacks: Optional[list[Callable[["Event"], None]]] = []
-        self._value: Any = Event._PENDING
+        self._value: Any = _PENDING
         self._ok: Optional[bool] = None
         self._defused = False
         # Kernel-internal events (process init/relay) are recycled through the
@@ -117,7 +121,7 @@ class Event:
     @property
     def triggered(self) -> bool:
         """True once ``succeed``/``fail`` has been called."""
-        return self._value is not Event._PENDING
+        return self._value is not _PENDING
 
     @property
     def processed(self) -> bool:
@@ -134,18 +138,18 @@ class Event:
     @property
     def value(self) -> Any:
         """The success payload, or the failure exception."""
-        if self._value is Event._PENDING:
+        if self._value is _PENDING:
             raise SimulationError("event has not been triggered yet")
         return self._value
 
     # -- triggering ----------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with an optional payload."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError("event already triggered")
         self._ok = True
         self._value = value
-        self.sim._enqueue(self, delay=0.0)
+        self.sim._enqueue(self, 0.0)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -161,7 +165,7 @@ class Event:
             raise SimulationError("event already triggered")
         self._ok = False
         self._value = exception
-        self.sim._enqueue(self, delay=0.0)
+        self.sim._enqueue(self, 0.0)
         return self
 
     def defuse(self) -> None:
@@ -170,10 +174,10 @@ class Event:
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Register *callback* to run when the event is processed."""
-        if self.processed:
+        callbacks = self.callbacks
+        if callbacks is None:
             raise SimulationError("cannot add a callback to a processed event")
-        assert self.callbacks is not None
-        self.callbacks.append(callback)
+        callbacks.append(callback)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self.processed else ("triggered" if self.triggered else "pending")
@@ -192,7 +196,7 @@ class Timeout(Event):
         self.delay = float(delay)
         self._ok = True
         self._value = value
-        sim._enqueue(self, delay=self.delay)
+        sim._enqueue(self, self.delay)
 
 
 class BatchTimeout(Event):
@@ -284,7 +288,8 @@ class Process(Event):
             self.fail(SimulationError("yielded an event from a different Simulator"))
             return
         self._waiting_on = target
-        if target.processed:
+        callbacks = target.callbacks
+        if callbacks is None:
             # The event already fired; resume on a fresh immediate event so
             # ordering stays queue-driven.
             relay = self.sim._internal_event()
@@ -294,7 +299,7 @@ class Process(Event):
                 relay.fail(target._value)  # pragma: no cover - late-join on failure
             relay.add_callback(self._resume)
         else:
-            target.add_callback(self._resume)
+            callbacks.append(self._resume)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Process {self.name!r} {'done' if self.triggered else 'alive'}>"
@@ -536,7 +541,7 @@ class Simulator:
         if pool:
             event = pool.pop()
             event.callbacks = []
-            event._value = Event._PENDING
+            event._value = _PENDING
             event._ok = None
             event._defused = False
             return event
@@ -768,7 +773,7 @@ class Simulator:
                 return None
             if isinstance(until, Event):
                 target = until
-                while not target.processed:
+                while target.callbacks is not None:
                     if not self._count:
                         raise SimulationError(
                             "calendar drained before the awaited event triggered (deadlock)"

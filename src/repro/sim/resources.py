@@ -164,7 +164,8 @@ class BandwidthChannel:
 
     def transfer_duration(self, nbytes: float) -> float:
         """Pure service time of a transfer, excluding queueing."""
-        require_nonnegative(nbytes, "nbytes")
+        if not nbytes >= 0:
+            raise ValueError(f"nbytes must be >= 0, got {nbytes!r}")
         return self.latency + nbytes / self.bandwidth
 
     def transfer(self, nbytes: float) -> Timeout:
@@ -174,13 +175,14 @@ class BandwidthChannel:
         ``max(now, previous end) + latency + nbytes/bandwidth``.
         """
         duration = self.transfer_duration(nbytes)
-        start = max(self.sim.now, self._busy_until)
-        end = start + duration
+        sim = self.sim
+        now = sim.now
+        end = max(now, self._busy_until) + duration
         self._busy_until = end
         self.bytes_transferred += nbytes
         self.busy_time += duration
         self.transfer_count += 1
-        return self.sim.timeout(end - self.sim.now, value=nbytes)
+        return Timeout(sim, end - now, nbytes)
 
     @property
     def backlog(self) -> float:

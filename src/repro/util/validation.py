@@ -3,6 +3,10 @@
 The simulator is configuration-heavy (hardware specs, HPL parameters, mapper
 settings); validating eagerly at construction time turns silent
 mis-calibrations into immediate, named errors.
+
+On per-event / per-message hot paths, spell the check inline instead
+(``if not cond: raise ValueError(f"...")``): the same condition and message,
+but the message is only formatted when it is raised.
 """
 
 from __future__ import annotations
