@@ -29,12 +29,20 @@ from repro.util.rng import RngStream
 from repro.util.units import GFLOP, dgemm_flops
 
 DEFAULT_SIZES = (5750, 11500, 23000, 34500, 46000)
+FIG9_TASK = "fig9.point"
+
+
+def _fig9_args(
+    configuration: str, n: int, variability: Optional[VariabilitySpec], seed: int
+) -> dict:
+    """One Fig. 9 cell's arguments: its cache identity on both paths."""
+    return dict(configuration=str(configuration), n=n, variability=variability, seed=seed)
 
 
 def _fig9_point(
     configuration: str, n: int, variability: Optional[VariabilitySpec], seed: int
 ) -> float:
-    """One Fig. 9 cell through the scalar oracle (the pool/cache worker)."""
+    """One Fig. 9 cell through a single-point run (the pool/cache worker)."""
     return run(
         Scenario(scheduler=configuration, n=n, variability=variability, seed=seed)
     ).gflops
@@ -46,7 +54,7 @@ def _fig9_config_batch(
     variability: Optional[VariabilitySpec],
     seed: int,
 ) -> list[float]:
-    """One configuration's whole size sweep through the batch stepper."""
+    """One configuration's whole size sweep in one panel loop."""
     from repro.hpl.batch import batch_linpack
 
     cluster = single_element_cluster(variability=variability)
@@ -63,39 +71,30 @@ def _fig9_values(
     """GFLOPS per (configuration, size) under the ambient execution policy.
 
     Scalar path: every cell is an independent cached/pooled task.  Vectorized
-    path: each configuration's misses evaluate as *one* batch-stepper task
-    (the size axis collapses into array ops), fanned across configurations.
-    The two paths cache under different task names — batch values agree with
-    the oracle to 1e-9, not bit-for-bit, so they must not masquerade as it.
+    path: each configuration's misses evaluate as *one* batch task (the size
+    axis collapses into one panel loop), fanned across configurations.  Batch
+    points are bit-identical to single-point runs, so both paths share one
+    cache identity: a cell cached by either path is a hit for the other.
     """
     policy = current()
-    values: dict[Configuration, dict[int, float]] = {c: {} for c in configs}
     if not policy.vectorize:
         flat = evaluate_points(
-            "fig9.point",
+            FIG9_TASK,
             _fig9_point,
-            [
-                dict(configuration=str(c), n=n, variability=variability, seed=seed)
-                for c in configs
-                for n in sizes
-            ],
+            [_fig9_args(c, n, variability, seed) for c in configs for n in sizes],
         )
         it = iter(flat)
-        for c in configs:
-            for n in sizes:
-                values[c][n] = next(it)
-        return values
+        return {c: {n: next(it) for n in sizes} for c in configs}
 
     cache = ResultCache(policy.resolved_cache_dir) if policy.cache else None
+    values: dict[Configuration, dict[int, float]] = {c: {} for c in configs}
     missing: dict[Configuration, list[int]] = {}
     for c in configs:
         for n in sizes:
             if cache is not None:
-                key = scenario_key(
-                    "fig9.batch",
-                    dict(configuration=str(c), n=n, variability=variability, seed=seed),
+                hit, value = cache.get(
+                    scenario_key(FIG9_TASK, _fig9_args(c, n, variability, seed))
                 )
-                hit, value = cache.get(key)
                 policy.stats.count_cache(hit)
                 if hit:
                     values[c][n] = value
@@ -113,20 +112,8 @@ def _fig9_values(
             for n, value in zip(ns, gflops):
                 values[c][n] = value
                 if cache is not None:
-                    key = scenario_key(
-                        "fig9.batch",
-                        dict(
-                            configuration=str(c), n=n, variability=variability, seed=seed
-                        ),
-                    )
-                    cache.put(
-                        key,
-                        value,
-                        task="fig9.batch",
-                        args=dict(
-                            configuration=str(c), n=n, variability=variability, seed=seed
-                        ),
-                    )
+                    args = _fig9_args(c, n, variability, seed)
+                    cache.put(scenario_key(FIG9_TASK, args), value, task=FIG9_TASK, args=args)
     return values
 
 

@@ -101,8 +101,9 @@ class ExecutionPolicy:
 
     ``jobs=None`` resolves to ``os.cpu_count()``; ``jobs=1`` forces the
     serial path (no pool, no subprocesses).  ``cache`` gates the on-disk
-    result cache; ``vectorize`` gates the batch analytic stepper (sweeps
-    fall back to the scalar oracle when off).  ``runtime="async"`` routes
+    result cache; ``vectorize`` runs size sweeps as one batch of points in
+    a single panel loop (bit-identical to per-point runs, so it changes wall
+    time only).  ``runtime="async"`` routes
     :func:`repro.exec.run_tasks` batches through the asyncio session
     runtime (:mod:`repro.session.runtime`) instead of the one-shot pool —
     same workers, same ordering contract, fair-share admission (the bench

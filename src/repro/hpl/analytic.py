@@ -5,7 +5,10 @@ rank's timing computed from the calibrated closed-form models
 (:mod:`repro.model.dgemm_model`'s formulas, vectorized over the whole P x Q
 grid with numpy) instead of discrete events.  This is what makes the paper's
 full-configuration experiments computable: N = 2 240 000 over a 64 x 80 grid
-is ~1840 panel steps of array arithmetic.
+is ~1840 panel steps of array arithmetic.  One panel loop
+(:meth:`AnalyticHpl.run_points`) serves a single run and whole sweeps: it
+stacks the trailing updates of several (N, NB) points over a leading axis,
+and each point's result is bit-identical to its own single-point run.
 
 Per step (panel ``jb``, width ``jbw``):
 
@@ -34,8 +37,8 @@ Mappings:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -67,11 +70,10 @@ def panel_bcast_time(algo: str, panel_bytes, q: int, latency: float, bandwidth):
     * ``long`` — scatter + ring allgather: ``2 (Q-1)`` latencies but only
       ``~2 B (Q-1)/Q`` bytes through any rank.
 
-    Works elementwise when *panel_bytes* is an array (the batch stepper).
     ``bandwidth=None`` (no network) costs zero.
     """
     if q <= 1 or bandwidth is None:
-        return 0.0 * panel_bytes
+        return 0.0
     message = latency + panel_bytes / bandwidth
     if algo == "1ring":
         return 2.0 * message + (q - 2) * latency
@@ -92,7 +94,7 @@ def panel_bcast_critical_time(algo: str, panel_bytes, q: int, latency: float, ba
     when the broadcast completes.
     """
     if q <= 1 or bandwidth is None:
-        return 0.0 * panel_bytes
+        return 0.0
     if algo == "1rm":
         return latency + panel_bytes / bandwidth
     return panel_bcast_time(algo, panel_bytes, q, latency, bandwidth)
@@ -213,8 +215,8 @@ class UpdateModel:
     The vectorized twin of :mod:`repro.model.dgemm_model` for
     ``C[m,n] += A[m,k] B[k,n]`` on every rank at once.  ``m`` holds the
     trailing rows per grid row (shape ``(..., P, 1)``), ``n`` the trailing
-    columns per grid column (``(..., 1, Q)``) and ``k`` the panel width; a
-    leading axis batches sweep points (:mod:`repro.hpl.batch`).
+    columns per grid column (``(..., 1, Q)``) and ``k`` the panel width; the
+    leading axis stacks the points of one :meth:`AnalyticHpl.run_points` step.
     ``xfer_factor`` >= 1 inflates every PCIe transfer term — the expected
     cost of retried transfers under an active PCIe fault.
 
@@ -381,7 +383,6 @@ class AnalyticHpl:
         self.var = variability if variability is not None else VariabilitySpec()
         self.config = config
         self.faults = faults if faults else None
-        self._rng = RngStream(config.seed).child("analytic").generator()
         self._kernel_overhead2d = self._grid_array(self.table.kernel_overhead)
         self._eff_max = self._grid_array(self.table.eff_max)
         self._w_half = self._grid_array(self.table.w_half)
@@ -437,29 +438,63 @@ class AnalyticHpl:
     ) -> AnalyticResult:
         """Run one Linpack of order *n*; returns timing (no numerics).
 
-        *progress*, if given, is called with each panel's :class:`StepTrace`
-        as the factorization advances — the hook live dashboards and the
-        Fig. 13 progress bench use.  *telemetry*
-        (:class:`repro.obs.Telemetry`) additionally records one span per
-        panel on the virtual timeline (tracks ``hpl/update`` / ``hpl/panel``
-        / ``hpl/comm``) plus running-GFLOPS and mean-GSplit series.  Both
-        hooks only read values the run already computes, so enabling them
-        cannot change the result.
+        The single-point (B=1) call of :meth:`run_points`.  *progress*, if
+        given, is called with each panel's :class:`StepTrace` as the
+        factorization advances — the hook live dashboards and the Fig. 13
+        progress bench use.  *telemetry* (:class:`repro.obs.Telemetry`)
+        additionally records one span per panel on the virtual timeline
+        (tracks ``hpl/update`` / ``hpl/panel`` / ``hpl/comm``) plus
+        running-GFLOPS and mean-GSplit series.  Both hooks only read values
+        the run already computes, so enabling them cannot change the result.
         """
         require_positive(n, "n")
+        (result,) = self.run_points([(n, self.config.nb)], collect_steps, progress, telemetry)
+        return result
+
+    def run_points(
+        self,
+        points: Sequence[tuple[int, int]],
+        collect_steps: bool = False,
+        progress=None,
+        telemetry=None,
+    ) -> list[AnalyticResult]:
+        """Run one Linpack per ``(n, nb)`` point, all in one panel loop.
+
+        Step ``jb`` evaluates every point that still has a panel ``jb``:
+        the trailing update (the :class:`UpdateModel`, the split and the
+        makespan) runs once over a ``(B, P, Q)`` stack of those points,
+        while each point's own bookkeeping — panel width, thermal drift,
+        panel/DTRSM/broadcast/swap terms, elapsed time, the backsolve —
+        stays in Python scalars.  Every stochastic draw (slow noise,
+        adaptive measurement noise, Qilin training) depends only on the
+        step index and the grid, never on N or NB, so one draw per step
+        serves all points, and each point's result is bit-identical to its
+        own single-point run.  Every call starts the RNG stream afresh, so
+        a stepper answers the same question the same way every time.
+
+        Fault injection, step traces and the *progress*/*telemetry* hooks
+        need a single point: the injector follows one run's clock.
+        """
+        B = len(points)
+        require(
+            B == 1 or (
+                self.faults is None and not collect_steps
+                and progress is None and telemetry is None
+            ),
+            "batch mode does not support fault injection, step traces or hooks",
+        )
         cfg = self.config
         grid, table, var = self.grid, self.table, self.var
         P, Q = grid.nprow, grid.npcol
-        nb = cfg.nb
-        n_blocks = -(-n // nb)
+        rng = RngStream(cfg.seed).child("analytic").generator()
 
         # Independent slowly-varying condition noise for the GPU (thermal
         # state) and the CPU side (OS/daemon activity, memory contention) of
         # each element.  Their *relative* drift is what staleness costs: a
         # split balanced for trained rates puts the slower-than-trained side
         # on the critical path, and "the end time is the last who finishes".
-        gpu_noise = SlowNoise(grid.size, var.slow_noise_sigma, var.slow_noise_rho, self._rng)
-        cpu_noise = SlowNoise(grid.size, var.slow_noise_sigma, var.slow_noise_rho, self._rng)
+        gpu_noise = SlowNoise(grid.size, var.slow_noise_sigma, var.slow_noise_rho, rng)
+        cpu_noise = SlowNoise(grid.size, var.slow_noise_sigma, var.slow_noise_rho, rng)
         meas_sigma = var.measurement_sigma
 
         gpu_base = self._grid_array(table.gpu_peak)
@@ -498,42 +533,64 @@ class AnalyticHpl:
             else None
         )
 
-        elapsed = 0.0
-        cum_flops = 0.0
-        steps: list[StepTrace] = []
-        total_flops = lu_flops(n)
-        # Per-run constants of the loop below.
-        total_rows = _local_count(n, nb, P)
-        total_cols = _local_count(n, nb, Q)
+        # Per-point state and constants of the loop below.
+        ns = [n for n, _ in points]
+        nbs = [nb for _, nb in points]
+        n_blocks = [-(-n // nb) for n, nb in points]
+        total_rows = [_local_count(n, nb, P) for n, nb in points]
+        total_cols = [_local_count(n, nb, Q) for n, nb in points]
+        elapsed = [0.0] * B
+        cum_flops = [0.0] * B
+        steps: list[list[StepTrace]] = [[] for _ in points]
+        trace_steps = collect_steps or progress is not None or telemetry is not None
         cpu_panel_rate = float(np.mean(cpu_hybrid)) * cfg.panel_efficiency
+        log2P = math.ceil(math.log2(P)) if P > 1 else 0
+        net_latency = self.net.latency if self.net else 0.0
+        net_bandwidth = self.net.bandwidth if self.net else None
+        live = list(range(B))
 
-        for jb in range(n_blocks):
-            j = jb * nb
-            jbw = min(nb, n - j)
+        for jb in range(max(n_blocks)):
+            live = [i for i in live if jb < n_blocks[i]]
+            # The point axis exists only while several points are live: a
+            # single run keeps the grid's (P, Q) shape, which the update
+            # model evaluates ~3% faster than a (1, P, Q) stack.
+            lead = (len(live),) if len(live) > 1 else ()
+            js = [jb * nbs[i] for i in live]
+            jbws = [min(nbs[i], ns[i] - j) for i, j in zip(live, js)]
             gpu_noise.step()
             cpu_noise.step()
             gpu_slow = self._grid_array(gpu_noise.factors())
             cpu_slow = self._grid_array(cpu_noise.factors())
-            drift = 1.0 - drift_depth * (1.0 - math.exp(-elapsed / table.drift_tau)) if table.drift_tau > 0 else 1.0 - drift_depth
+            if table.drift_tau > 0:
+                warm = [1.0 - math.exp(-elapsed[i] / table.drift_tau) for i in live]
+                drift = 1.0 - drift_depth * np.array(warm).reshape(lead + (1, 1))
+            else:
+                drift = 1.0 - drift_depth
             if injector is not None:
-                injector.advance(elapsed)
+                injector.advance(elapsed[0])
                 fault_gpu = self._grid_array(injector.gpu_factor())
                 fault_cpu = self._grid_array(injector.cpu_factor())
                 gpu_ok = self._grid_array(injector.gpu_alive()).astype(bool)
-                xfer_factor = injector.transfer_inflation(elapsed)
+                xfer_factor = injector.transfer_inflation(elapsed[0])
             else:
                 fault_gpu = fault_cpu = 1.0
                 gpu_ok = None
                 xfer_factor = 1.0
             peak_now = gpu_base * drift * gpu_slow * fault_gpu
 
-            m_after = _first_local_at_or_after(j + jbw, nb, P)
-            m_loc = total_rows - m_after  # rows below the panel, per grid row
-            n_after = _first_local_at_or_after(j + jbw, nb, Q)
-            n_loc = total_cols - n_after  # trailing cols per grid col
-            m_rows = m_loc[:, None].astype(float)
-            n_cols = n_loc[None, :].astype(float)
-            model = UpdateModel(self, m_rows, n_cols, jbw, xfer_factor)
+            # Rows below the panel per grid row, trailing cols per grid col.
+            m_loc = np.array([
+                total_rows[i] - _first_local_at_or_after(j + jbw, nbs[i], P)
+                for i, j, jbw in zip(live, js, jbws)
+            ])
+            n_loc = np.array([
+                total_cols[i] - _first_local_at_or_after(j + jbw, nbs[i], Q)
+                for i, j, jbw in zip(live, js, jbws)
+            ])
+            m_rows = m_loc.reshape(lead + (P, 1)).astype(float)
+            n_cols = n_loc.reshape(lead + (1, Q)).astype(float)
+            k = np.array(jbws, dtype=float).reshape(lead + (1, 1))
+            model = UpdateModel(self, m_rows, n_cols, k, xfer_factor)
 
             # -- choose the split per mapping --------------------------------------
             if cfg.mapping == "cpu_only":
@@ -547,15 +604,13 @@ class AnalyticHpl:
                 cpu_rate = cpu_even * cpu_slow
             elif cfg.mapping == "qilin":
                 # Trained before the run, so blind to any PCIe fault.
-                trained = model if xfer_factor == 1.0 else UpdateModel(self, m_rows, n_cols, jbw)
+                trained = model if xfer_factor == 1.0 else UpdateModel(self, m_rows, n_cols, k)
                 gsplit = trained.balanced_split(train_peak, train_cpu)
                 cpu_rate = cpu_even * cpu_slow
             else:  # adaptive: fresh (last-step) measurements, level-2 balanced
                 cpu_rate = (cpu_hybrid if cfg.level2 else cpu_even) * cpu_slow
                 if meas_sigma > 0:
-                    mfac = np.exp(
-                        self._rng.normal(-0.5 * meas_sigma**2, meas_sigma, (2, P, Q))
-                    )
+                    mfac = np.exp(rng.normal(-0.5 * meas_sigma**2, meas_sigma, (2, P, Q)))
                 else:
                     mfac = np.ones((2, P, Q))
                 gsplit = model.balanced_split(peak_now * mfac[0], cpu_rate * mfac[1])
@@ -575,7 +630,7 @@ class AnalyticHpl:
                 if cfg.mapping == "adaptive" and not gpu_ok.all():
                     gsplit = np.where(gpu_ok, gsplit, 0.0)
                     cpu_rate = np.where(gpu_ok, cpu_rate, cpu_full * cpu_slow * fault_cpu)
-                injector.note_load(np.broadcast_to(gsplit, (P, Q)).ravel(), elapsed)
+                injector.note_load(np.broadcast_to(gsplit, (P, Q)).ravel(), elapsed[0])
 
             # -- the trailing update (slowest rank gates the step) ------------------
             makespan = model.makespan(gsplit, peak_now, cpu_rate)
@@ -586,91 +641,98 @@ class AnalyticHpl:
                     model.w > 0, model.w / np.maximum(cpu_full * cpu_slow * fault_cpu, 1e-9), 0.0
                 )
                 makespan = np.minimum(makespan, t_cpu_full)
-            t_update = float(makespan.max()) if makespan.size else 0.0
+            t_updates = makespan.reshape(len(live), -1).max(axis=1).tolist()
+            w_update_maxes = model.w.reshape(len(live), -1).max(axis=1).tolist()
+            n_loc_maxes = n_loc.max(axis=1).tolist()
 
-            # DTRSM (the U12 block row) runs through the same hybrid engine as
-            # the update — it is BLAS3 of jbw^2 x n_loc flops, ~NB/2M of the
-            # update, so charge it at the update's effective hybrid rate.
-            n_loc_max = int(n_loc.max()) if n_loc.size else 0
-            w_update_max = float(model.w.max()) if makespan.size else 0.0
-            hybrid_rate = w_update_max / t_update if t_update > 0 else float(np.mean(cpu_rate))
-            t_dtrsm = (jbw * jbw * n_loc_max) / max(hybrid_rate, 1e-9)
+            for slot, i in enumerate(live):
+                n, j, jbw = ns[i], js[slot], jbws[slot]
+                t_update = t_updates[slot]
+                # DTRSM (the U12 block row) runs through the same hybrid
+                # engine as the update — it is BLAS3 of jbw^2 x n_loc flops,
+                # ~NB/2M of the update, so charge it at the update's
+                # effective hybrid rate.
+                n_loc_max = n_loc_maxes[slot]
+                hybrid_rate = (
+                    w_update_maxes[slot] / t_update if t_update > 0 else float(np.mean(cpu_rate))
+                )
+                t_dtrsm = (jbw * jbw * n_loc_max) / max(hybrid_rate, 1e-9)
 
-            # -- panel factorization + communication --------------------------------
-            panel_rows_local = max(int(np.ceil((n - j) / P)), jbw) if P > 1 else n - j
-            t_panel = (panel_rows_local * jbw * jbw - jbw**3 / 3.0) / cpu_panel_rate
-            if P > 1:
-                # pivot search allreduce per column of the panel
-                t_panel += jbw * self._alpha_beta(16.0, max(1, math.ceil(math.log2(P))))
-            panel_bytes = panel_rows_local * jbw * DOUBLE_BYTES
-            net_latency = self.net.latency if self.net else 0.0
-            net_bandwidth = self.net.bandwidth if self.net else None
-            t_pbcast = panel_bcast_time(
-                cfg.bcast_algo, panel_bytes, Q, net_latency, net_bandwidth
-            )
-            swap_bytes = jbw * n_loc_max * DOUBLE_BYTES
-            t_swap = self._alpha_beta(swap_bytes, 1) if P > 1 else 0.0
-            t_ubcast = self._alpha_beta(
-                jbw * n_loc_max * DOUBLE_BYTES, math.ceil(math.log2(P)) if P > 1 else 0
-            )
-            t_comm = t_pbcast + t_swap + t_ubcast
-            if cfg.lookahead:
-                # Depth-1 look-ahead: next panel's factorization + broadcast
-                # proceed in the shadow of the current trailing update.  Only
-                # the next owner's copy gates the shadowed path (1rm delivers
-                # it in one message); the full broadcast still bounds the step.
-                t_pbcast_crit = panel_bcast_critical_time(
+                # -- panel factorization + communication ----------------------------
+                panel_rows_local = max(math.ceil((n - j) / P), jbw) if P > 1 else n - j
+                t_panel = (panel_rows_local * jbw * jbw - jbw**3 / 3.0) / cpu_panel_rate
+                if P > 1:
+                    # pivot search allreduce per column of the panel
+                    t_panel += jbw * self._alpha_beta(16.0, max(1, log2P))
+                panel_bytes = panel_rows_local * jbw * DOUBLE_BYTES
+                t_pbcast = panel_bcast_time(
                     cfg.bcast_algo, panel_bytes, Q, net_latency, net_bandwidth
                 )
-                step_time = (
-                    max(t_update + t_dtrsm, t_panel + t_pbcast_crit, t_pbcast)
-                    + t_swap
-                    + t_ubcast
-                )
-            else:
-                step_time = t_panel + t_dtrsm + t_comm + t_update
+                swap_bytes = jbw * n_loc_max * DOUBLE_BYTES
+                t_swap = self._alpha_beta(swap_bytes, 1) if P > 1 else 0.0
+                t_ubcast = self._alpha_beta(jbw * n_loc_max * DOUBLE_BYTES, log2P)
+                t_comm = t_pbcast + t_swap + t_ubcast
+                if cfg.lookahead:
+                    # Depth-1 look-ahead: next panel's factorization +
+                    # broadcast proceed in the shadow of the current
+                    # trailing update.  Only the next owner's copy gates the
+                    # shadowed path (1rm delivers it in one message); the
+                    # full broadcast still bounds the step.
+                    t_pbcast_crit = panel_bcast_critical_time(
+                        cfg.bcast_algo, panel_bytes, Q, net_latency, net_bandwidth
+                    )
+                    step_time = (
+                        max(t_update + t_dtrsm, t_panel + t_pbcast_crit, t_pbcast)
+                        + t_swap
+                        + t_ubcast
+                    )
+                else:
+                    step_time = t_panel + t_dtrsm + t_comm + t_update
 
-            step_start = elapsed
-            elapsed += step_time
-            step_flops = (2.0 / 3.0) * ((n - j) ** 3 - (n - j - jbw) ** 3)
-            cum_flops += step_flops
-            if collect_steps or progress is not None or telemetry is not None:
-                trace = StepTrace(
-                    step=jb,
-                    j=j,
-                    trailing=n - j - jbw,
-                    step_time=step_time,
-                    update_time=t_update,
-                    panel_time=t_panel + t_dtrsm,
-                    comm_time=t_comm,
-                    flops=step_flops,
-                    cum_time=elapsed,
-                    cum_flops=cum_flops,
-                    mean_gsplit=float(np.mean(gsplit)),
-                )
-                if collect_steps:
-                    steps.append(trace)
-                if progress is not None:
-                    progress(trace)
-                if telemetry is not None:
-                    self._publish_step(telemetry, trace, step_start)
+                step_start = elapsed[i]
+                elapsed[i] += step_time
+                step_flops = (2.0 / 3.0) * ((n - j) ** 3 - (n - j - jbw) ** 3)
+                cum_flops[i] += step_flops
+                if trace_steps:
+                    trace = StepTrace(
+                        step=jb,
+                        j=j,
+                        trailing=n - j - jbw,
+                        step_time=step_time,
+                        update_time=t_update,
+                        panel_time=t_panel + t_dtrsm,
+                        comm_time=t_comm,
+                        flops=step_flops,
+                        cum_time=elapsed[i],
+                        cum_flops=cum_flops[i],
+                        mean_gsplit=float(np.mean(gsplit)),
+                    )
+                    if collect_steps:
+                        steps[i].append(trace)
+                    if progress is not None:
+                        progress(trace)
+                    if telemetry is not None:
+                        self._publish_step(telemetry, trace, step_start)
 
         # Back-substitution: 2 N^2 flops spread over the grid, CPU-bound.
         solve_rate = float(np.mean(cpu_full if cfg.mapping == "cpu_only" else cpu_hybrid))
-        elapsed += 2.0 * n * n / (grid.size * solve_rate) + self._alpha_beta(
-            n * DOUBLE_BYTES, 2 * (P + Q)
-        )
-        result = AnalyticResult(
-            n=n,
-            grid=(P, Q),
-            config=cfg,
-            elapsed=elapsed,
-            flops=total_flops,
-            steps=steps,
-            degraded=injector.degraded_mode() if injector is not None else None,
-        )
+        results = []
+        for i, (n, nb) in enumerate(points):
+            elapsed[i] += 2.0 * n * n / (grid.size * solve_rate) + self._alpha_beta(
+                n * DOUBLE_BYTES, 2 * (P + Q)
+            )
+            results.append(AnalyticResult(
+                n=n,
+                grid=(P, Q),
+                config=cfg if nb == cfg.nb else replace(cfg, nb=nb),
+                elapsed=elapsed[i],
+                flops=lu_flops(n),
+                steps=steps[i],
+                degraded=injector.degraded_mode() if injector is not None else None,
+            ))
         if telemetry is not None:
             # Final figures match AnalyticResult exactly (backsolve included).
-            telemetry.metrics.gauge("hpl.elapsed_seconds", "virtual run time").set(elapsed)
+            result = results[0]
+            telemetry.metrics.gauge("hpl.elapsed_seconds", "virtual run time").set(result.elapsed)
             telemetry.metrics.gauge("hpl.gflops", "HPL figure of merit").set(result.gflops)
-        return result
+        return results
