@@ -17,10 +17,10 @@ from repro.core.adaptive import AdaptiveMapper
 from repro.core.hybrid_dgemm import HybridDgemm
 from repro.core.static_map import StaticMapper
 from repro.core.taskqueue import build_task_queue
-from repro.hpl.driver import run_linpack_element
 from repro.machine.node import ComputeElement
 from repro.machine.presets import NB_GPU, tianhe1_element
 from repro.machine.variability import NO_VARIABILITY
+from repro.session import Scenario, run
 from repro.sim import Simulator
 from repro.util.tables import TextTable
 from repro.util.units import GB, dgemm_flops
@@ -161,8 +161,10 @@ def test_ablation_eo_block_height(benchmark, save_report):
 )
 def test_ablation_linpack_features(benchmark, save_report, name, overrides, expect_slower):
     def measure():
-        base = run_linpack_element("acmlg_both", 30000, seed=5).gflops
-        ablated = run_linpack_element("acmlg_both", 30000, seed=5, overrides=overrides).gflops
+        base = run(Scenario(scheduler="acmlg_both", n=30000, seed=5)).gflops
+        ablated = run(
+            Scenario(scheduler="acmlg_both", n=30000, seed=5, overrides=overrides)
+        ).gflops
         return base, ablated
 
     base, ablated = benchmark.pedantic(measure, rounds=1, iterations=1)

@@ -10,11 +10,9 @@ each against the serial scalar oracle *on the same machine*:
   parallel (reports must be structurally identical).
 * ``cache``        — cold vs warm Fig. 9 through the on-disk result cache
   (warm must serve >= 90% of lookups from disk).
-* ``des_engine``   — raw kernel throughput, two ways: the headline batched
-  device-completion storm (``Simulator.schedule_batch`` through the
-  calendar queue, gated at >= 5M events/s by ``--des-floor``) and the
-  legacy relay-heavy scalar mix (event pooling + O(1) barriers, its own
-  ``--des-scalar-floor``), both under a NullSink telemetry.
+* ``des_engine``   — raw kernel throughput on the relay-heavy scalar mix
+  (one generator resume per event: event pooling + O(1) barriers), gated
+  by ``--des-scalar-floor`` under a NullSink telemetry.
 * ``des_feasibility`` — the "largest DES-feasible machine" tracker: runs
   the grid-scale crossval cells (distributed LU on 2x2..8x8 grids), then
   keeps doubling the grid until the wall-clock budget binds, and records
@@ -36,7 +34,7 @@ Usage::
     python benchmarks/bench_perf.py --quick --profile
     python benchmarks/bench_perf.py --out benchmarks/out/BENCH_perf.json
 
-``--profile`` re-runs both engine microbenches under cProfile and writes
+``--profile`` re-runs the engine microbench under cProfile and writes
 ``BENCH_profile.txt`` (top-30 by cumulative and by tottime) plus the raw
 ``BENCH_profile.prof`` next to the ``--out`` report — the profile-guided
 loop for hot-path work (see docs/performance.md).
@@ -74,13 +72,7 @@ QUICK_SIZES = (5750, 11500)
 FULL_SIZES = (5750, 11500, 23000, 34500, 46000)
 SEED = 7
 
-#: Headline engine-microbench floor (events/s) asserted under --check: the
-#: batched device-completion storm through the calendar queue.  Local runs
-#: measure ~50M+; the 5M floor leaves an order of magnitude for slow shared
-#: runners while still pinning the 10x-the-DES-core optimization.
-DEFAULT_DES_FLOOR = 5_000_000.0
-
-#: Floor for the legacy scalar mix (one generator resume per event).
+#: Floor for the scalar engine mix (one generator resume per event).
 #: Conservative: local runs measure ~550k+; shared CI runners are slower.
 DEFAULT_DES_SCALAR_FLOOR = 150_000.0
 
@@ -241,8 +233,13 @@ def bench_telemetry_overhead(sizes) -> dict:
     }
 
 
-def _des_scalar(quick: bool) -> dict:
-    """The relay-heavy scalar mix: one generator resume per event."""
+def bench_des(quick: bool) -> dict:
+    """Kernel throughput on the relay-heavy scalar mix: one generator
+    resume per event, under an ambient NullSink.
+
+    The floor gate asserts the zero-cost discipline holds with the
+    telemetry hooks present but disabled.
+    """
     n = 5000 if quick else 20000
     sim = Simulator()
     done = sim.timeout(0.0)
@@ -255,55 +252,9 @@ def _des_scalar(quick: bool) -> dict:
     with obs.use(obs.Telemetry(sink=obs.NULL_SINK)):
         _, wall = _timed(sim.run)
     return {
-        "events_processed": sim.events_processed,
-        "wall_seconds": wall,
-        "events_per_second": sim.events_processed / wall if wall > 0 else None,
-    }
-
-
-def _des_batched(quick: bool) -> dict:
-    """The headline batched storm: same-timestamp device completions
-    coalesced through ``Simulator.schedule_batch`` and the calendar queue."""
-    n_events = 1_000_000 if quick else 4_000_000
-    n_stamps = 499  # distinct completion instants per storm
-    import numpy as np
-
-    rng = np.random.default_rng(SEED)
-    delays = rng.choice(np.linspace(1e-6, 1.0, n_stamps), size=n_events)
-    sim = Simulator()
-
-    def storm():
-        sim.schedule_batch(delays)
-        sim.run()
-
-    with obs.use(obs.Telemetry(sink=obs.NULL_SINK)):
-        _, wall = _timed(storm)
-    return {
-        "events_processed": sim.events_processed,
-        "batch_entries": n_stamps,
-        "wall_seconds": wall,
-        "events_per_second": sim.events_processed / wall if wall > 0 else None,
-    }
-
-
-def bench_des(quick: bool) -> dict:
-    """Kernel throughput: batched headline + legacy scalar mix.
-
-    Both run under an ambient NullSink telemetry — the floor gates assert
-    the zero-cost discipline holds with the hooks present but disabled.
-    ``events_per_second`` (the history-tracked headline) is the batched
-    storm; the scalar mix keeps its own tracked metric and floor.
-    """
-    batched = _des_batched(quick)
-    scalar = _des_scalar(quick)
-    return {
-        "events_processed": batched["events_processed"],
-        "batch_entries": batched["batch_entries"],
-        "wall_seconds": batched["wall_seconds"],
-        "events_per_second": batched["events_per_second"],
-        "scalar_events_processed": scalar["events_processed"],
-        "scalar_wall_seconds": scalar["wall_seconds"],
-        "scalar_events_per_second": scalar["events_per_second"],
+        "scalar_events_processed": sim.events_processed,
+        "scalar_wall_seconds": wall,
+        "scalar_events_per_second": sim.events_processed / wall if wall > 0 else None,
     }
 
 
@@ -392,7 +343,6 @@ def run_benchmarks(quick: bool, jobs: int) -> dict:
 
 def check(
     report: dict,
-    des_floor: float = DEFAULT_DES_FLOOR,
     des_scalar_floor: float = DEFAULT_DES_SCALAR_FLOOR,
 ) -> list[str]:
     """The correctness gates (never the cross-machine speedups) as failures.
@@ -417,12 +367,6 @@ def check(
         )
     if not report["cache"]["values_identical"]:
         failures.append("cache: warm values differ from cold values")
-    eps = report["des_engine"]["events_per_second"] or 0.0
-    if eps < des_floor:
-        failures.append(
-            f"des: batched engine microbench {eps:,.0f} events/s fell below "
-            f"the {des_floor:,.0f} floor (NullSink telemetry active)"
-        )
     scalar_eps = report["des_engine"]["scalar_events_per_second"] or 0.0
     if scalar_eps < des_scalar_floor:
         failures.append(
@@ -458,7 +402,7 @@ def check(
 
 
 def write_profile(out: Path, quick: bool) -> tuple[Path, Path]:
-    """Profile both engine microbenches; write pstats text + raw dump.
+    """Profile the engine microbench; write pstats text + raw dump.
 
     The text report lists the top 30 functions by cumulative and by own
     time — the reading order for hot-path work: own time names the loop to
@@ -470,8 +414,7 @@ def write_profile(out: Path, quick: bool) -> tuple[Path, Path]:
 
     profiler = cProfile.Profile()
     profiler.enable()
-    _des_batched(quick)
-    _des_scalar(quick)
+    bench_des(quick)
     profiler.disable()
     prof_path = out.parent / "BENCH_profile.prof"
     txt_path = out.parent / "BENCH_profile.txt"
@@ -496,7 +439,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="cProfile the engine microbenches; writes BENCH_profile.{txt,prof} "
+        help="cProfile the engine microbench; writes BENCH_profile.{txt,prof} "
         "next to --out",
     )
     parser.add_argument(
@@ -504,13 +447,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--out", type=Path, default=DEFAULT_OUT, help=f"output path (default {DEFAULT_OUT})"
-    )
-    parser.add_argument(
-        "--des-floor",
-        type=float,
-        default=DEFAULT_DES_FLOOR,
-        help="events/s floor for the batched engine microbench "
-        f"(default {DEFAULT_DES_FLOOR:,.0f})",
     )
     parser.add_argument(
         "--des-scalar-floor",
@@ -555,9 +491,7 @@ def main(argv=None) -> int:
           f"identical={cv['reports_identical']})")
     print(f"cache    cold {ca['cold_seconds']:.2f}s  warm {ca['warm_seconds']:.2f}s "
           f"({ca['warm_speedup']:.1f}x, {ca['warm_hit_rate']:.0%} hit)")
-    print(f"des      batched {de['events_processed']} events at "
-          f"{de['events_per_second']:,.0f}/s ({de['batch_entries']} calendar entries)  "
-          f"scalar {de['scalar_events_processed']} at "
+    print(f"des      scalar {de['scalar_events_processed']} events at "
           f"{de['scalar_events_per_second']:,.0f}/s")
     fe = report["des_feasibility"]
     cell_text = "  ".join(
@@ -579,11 +513,7 @@ def main(argv=None) -> int:
         print(f"profile written to {txt_path} (raw: {prof_path})")
 
     if args.check:
-        failures = check(
-            report,
-            des_floor=args.des_floor,
-            des_scalar_floor=args.des_scalar_floor,
-        )
+        failures = check(report, des_scalar_floor=args.des_scalar_floor)
         for failure in failures:
             print(f"CHECK FAILED: {failure}", file=sys.stderr)
         return 1 if failures else 0

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.bench.scaling_studies import run_energy_ledger, strong_scaling
-from repro.hpl.driver import run_linpack
-from repro.hpl.grid import ProcessGrid
 from repro.machine.cluster import Cluster
 from repro.machine.presets import tianhe1_cluster
+from repro.session import Scenario, run
 from repro.util.tables import TextTable
 
 
@@ -31,10 +30,10 @@ def test_panel_bcast_algorithms(benchmark, save_report):
         out = {}
         for lookahead in (True, False):
             for algo in ("binomial", "ring"):
-                result = run_linpack(
-                    "acmlg_both", 560_000, cluster, ProcessGrid(16, 16),
-                    overrides={"panel_bcast": algo, "lookahead": lookahead},
-                )
+                result = run(Scenario(
+                    scheduler="acmlg_both", n=560_000, cluster=cluster, grid=(16, 16),
+                    overrides={"bcast_algo": algo, "lookahead": lookahead},
+                ))
                 out[(lookahead, algo)] = result.tflops
         return out
 

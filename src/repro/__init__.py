@@ -62,8 +62,6 @@ from repro.hpl.driver import (
     CONFIGURATIONS,
     Configuration,
     LinpackResult,
-    run_linpack,
-    run_linpack_element,
     single_element_cluster,
 )
 from repro.hpl.grid import BlockCyclic, ProcessGrid
@@ -102,8 +100,6 @@ __all__ = [
     "LinpackResult",
     "Scenario",
     "Session",
-    "run_linpack",
-    "run_linpack_element",
     "single_element_cluster",
     "FaultSpec",
     "FaultInjector",

@@ -174,14 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="do not read or write the on-disk result cache",
     )
-    parser.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help="route sweeps through the asyncio session runtime "
-        "(repro.session.AsyncSession: fair-share admission over a "
-        "persistent worker pool; results identical to the classic pool)",
-    )
     return parser
 
 
@@ -233,10 +225,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         telemetry = obs.Telemetry() if (args.trace_out or args.metrics_out) else None
 
     policy = exec_policy.ExecutionPolicy(
-        jobs=args.jobs,
-        cache=not args.no_cache,
-        vectorize=True,
-        runtime="async" if args.use_async else None,
+        jobs=args.jobs, cache=not args.no_cache, vectorize=True
     )
 
     summary: dict = {}

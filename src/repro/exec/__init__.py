@@ -6,10 +6,12 @@ worth of scenarios" (:mod:`repro.bench`, :mod:`repro.verify`):
 * :class:`ExecutionPolicy` + :func:`use`/:func:`current` — the ambient
   jobs/cache/vectorize configuration (serial and uncached by default; the
   CLIs install a real policy from ``--jobs``/``--no-cache``).
-* :func:`run_tasks` — ordered, deterministic process-pool fan-out.
-* :class:`WorkerPool` / :func:`in_worker` — the persistent, submit-oriented
-  pool the async session runtime (:mod:`repro.session.runtime`) keeps alive
-  across thousands of submissions, with the same fork/nesting contract.
+* :func:`run_tasks` — ordered, deterministic fan-out: a plain loop when
+  serial, one :class:`WorkerPool` per batch when parallel.
+* :class:`WorkerPool` / :func:`in_worker` — the one process pool (fork
+  context, never-nest initializer); :func:`run_tasks` opens one per batch
+  and the async session runtime (:mod:`repro.session.runtime`) keeps one
+  alive across thousands of submissions.
 * :func:`evaluate_points` — the cache-aware sweep combinator.
 * :class:`ResultCache` / :func:`scenario_key` / :func:`code_version` — the
   content-addressed on-disk result store under ``benchmarks/out/cache/``.

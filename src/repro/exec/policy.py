@@ -103,26 +103,15 @@ class ExecutionPolicy:
     serial path (no pool, no subprocesses).  ``cache`` gates the on-disk
     result cache; ``vectorize`` runs size sweeps as one batch of points in
     a single panel loop (bit-identical to per-point runs, so it changes wall
-    time only).  ``runtime="async"`` routes
-    :func:`repro.exec.run_tasks` batches through the asyncio session
-    runtime (:mod:`repro.session.runtime`) instead of the one-shot pool —
-    same workers, same ordering contract, fair-share admission (the bench
-    CLIs' ``--async`` flag).  ``stats`` is shared by everything executed
-    under this policy.
+    time only).  ``stats`` is shared by everything executed under this
+    policy.
     """
 
     jobs: Optional[int] = 1
     cache: bool = False
     cache_dir: Optional[Path] = None
     vectorize: bool = False
-    runtime: Optional[str] = None
     stats: ExecStats = field(default_factory=ExecStats, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.runtime not in (None, "async"):
-            raise ValueError(
-                f"unknown runtime {self.runtime!r} (valid: None, 'async')"
-            )
 
     @property
     def resolved_jobs(self) -> int:

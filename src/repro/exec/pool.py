@@ -1,7 +1,8 @@
-"""The deterministic fan-out runner and the cache-aware sweep combinator.
+"""The worker pool, the deterministic fan-out runner and the sweep combinator.
 
 :func:`run_tasks` maps a top-level callable over a list of keyword-argument
-dicts, optionally across a process pool.  Determinism is the contract, not
+dicts, serially or across a :class:`WorkerPool` — the only place in the
+package that builds a process pool.  Determinism is the contract, not
 an accident:
 
 * **Ordering** — results come back in submission order regardless of which
@@ -124,14 +125,13 @@ def _register_shards(telemetry: "obs.Telemetry", shard_dir: Path) -> int:
 
 
 class WorkerPool:
-    """A persistent, submit-oriented twin of :func:`run_tasks`'s pool.
+    """The one process pool: every fan-out in the package runs through it.
 
-    :func:`run_tasks` opens a pool, fans one batch out, and tears it down —
-    right for a sweep, wrong for a long-lived runtime that keeps thousands
-    of scenarios in flight over hours.  ``WorkerPool`` keeps the executor
-    (same fork-preferring context, same never-nest initializer) alive
-    across submissions; :class:`repro.session.runtime.AsyncSession` drives
-    it one job at a time as its fair-share scheduler grants slots.
+    :func:`run_tasks` opens one per parallel batch and collects the futures
+    in submission order; :class:`repro.session.runtime.AsyncSession` keeps
+    one alive across thousands of submissions and drives it one job at a
+    time as its fair-share scheduler grants slots.  Either way the executor
+    uses the fork-preferring context and the never-nest initializer.
 
     ``serial=True`` (or running inside a pool worker, where nesting is
     forbidden) degrades to inline execution: :meth:`submit` runs the
@@ -140,6 +140,11 @@ class WorkerPool:
     modes — but note that in serial mode a job can never be observed
     *running*, only *finished*, which is exactly why a cancel on the serial
     path must be a no-op completion rather than a hang.
+
+    :meth:`shutdown` (also on leaving a ``with`` block) cancels the futures
+    still queued: when one task of a :func:`run_tasks` batch raises, the
+    tasks not yet started are dropped, and the original exception still
+    propagates to the caller.
     """
 
     def __init__(self, jobs: Optional[int] = None, *, serial: Optional[bool] = None) -> None:
@@ -179,7 +184,7 @@ class WorkerPool:
         return future
 
     def shutdown(self, wait: bool = True) -> None:
-        """Tear the executor down.  Idempotent."""
+        """Tear the executor down, cancelling queued futures.  Idempotent."""
         if self._closed:
             return
         self._closed = True
@@ -198,32 +203,19 @@ def run_tasks(
     calls: Sequence[dict],
     *,
     policy: Optional[ExecutionPolicy] = None,
-    label: str = "",
 ) -> list[Any]:
     """Evaluate ``fn(**call)`` for every call, in order; maybe in parallel.
 
     *fn* must be a module-level (picklable) callable and every value in the
     call dicts must be picklable.  The result list is ordered like *calls*.
-    A failure in any task propagates as the original exception.
+    A failure in any task propagates as the original exception; the
+    parallel path then cancels the tasks still queued (see
+    :class:`WorkerPool`).
     """
     policy = policy if policy is not None else current()
     calls = list(calls)
     if not calls:
         return []
-    if policy.runtime == "async" and not _IN_WORKER:
-        import asyncio
-
-        try:
-            asyncio.get_running_loop()
-        except RuntimeError:
-            # No loop in this thread: route the batch through the async
-            # session runtime (fair-share scheduler over the same worker
-            # contract).  Inside a running loop we fall through to the
-            # classic pool — run_tasks must stay callable from sync code
-            # that an async application drove via an executor thread.
-            from repro.session.runtime import map_tasks
-
-            return map_tasks(fn, calls, policy=policy, label=label)
     jobs = min(policy.resolved_jobs, len(calls))
     telemetry = obs.current()
     shard_dir = telemetry.shard_dir if telemetry is not None else None
@@ -238,18 +230,15 @@ def run_tasks(
         # Flush the parent stream before forking so the child never holds
         # (or replays) buffered parent records.
         telemetry.flush()
-    with ProcessPoolExecutor(
-        max_workers=jobs, mp_context=_pool_context(), initializer=_mark_worker
-    ) as executor:
+    with WorkerPool(jobs) as pool:
         if shard_dir is not None:
             futures = [
-                executor.submit(_run_sharded, fn, str(shard_dir), kwargs)
-                for kwargs in calls
+                pool.submit(_run_sharded, fn, str(shard_dir), kwargs) for kwargs in calls
             ]
         else:
-            futures = [executor.submit(fn, **kwargs) for kwargs in calls]
+            futures = [pool.submit(fn, **kwargs) for kwargs in calls]
         results = [future.result() for future in futures]
-    if telemetry is not None and shard_dir is not None:
+    if shard_dir is not None:
         _register_shards(telemetry, shard_dir)
     return results
 
@@ -271,7 +260,7 @@ def evaluate_points(
     policy = policy if policy is not None else current()
     points = list(points)
     if not policy.cache:
-        return run_tasks(fn, points, policy=policy, label=task)
+        return run_tasks(fn, points, policy=policy)
     cache = ResultCache(policy.resolved_cache_dir)
     results: list[Any] = [None] * len(points)
     missing: list[tuple[int, str, dict]] = []
@@ -284,9 +273,7 @@ def evaluate_points(
         else:
             missing.append((i, key, point))
     if missing:
-        computed = run_tasks(
-            fn, [point for _, _, point in missing], policy=policy, label=task
-        )
+        computed = run_tasks(fn, [point for _, _, point in missing], policy=policy)
         for (i, key, point), value in zip(missing, computed):
             results[i] = value
             cache.put(key, value, task=task, args=point)

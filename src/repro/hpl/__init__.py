@@ -19,8 +19,6 @@ from repro.hpl.driver import (
     Configuration,
     HplConfig,
     LinpackResult,
-    run_linpack,
-    run_linpack_element,
     validate_overrides,
 )
 from repro.hpl.analytic import AnalyticConfig, AnalyticHpl, StepTrace
@@ -34,8 +32,6 @@ __all__ = [
     "hpl_residual_ok",
     "HplConfig",
     "LinpackResult",
-    "run_linpack",
-    "run_linpack_element",
     "CONFIGURATIONS",
     "Configuration",
     "validate_overrides",

@@ -17,7 +17,6 @@ The same configurations scale to multi-element grids for Section VI.C.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Optional
@@ -210,38 +209,6 @@ def _run_linpack(
     )
 
 
-def run_linpack(
-    configuration: str,
-    n: int,
-    cluster: Cluster,
-    grid: ProcessGrid,
-    seed: int = 7,
-    collect_steps: bool = False,
-    overrides: Optional[dict] = None,
-    progress=None,
-    telemetry=None,
-) -> LinpackResult:
-    """Deprecated: build a :class:`repro.session.Scenario` and call
-    :meth:`repro.session.Session.run` instead.  Results are identical."""
-    warnings.warn(
-        "run_linpack() is deprecated; build a repro.session.Scenario and "
-        "call Session.run() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_linpack(
-        configuration,
-        n,
-        cluster,
-        grid,
-        seed=seed,
-        collect_steps=collect_steps,
-        overrides=overrides,
-        progress=progress,
-        telemetry=telemetry,
-    )
-
-
 def single_element_cluster(
     gpu_clock_mhz: float = STANDARD_CLOCK_MHZ,
     variability: Optional[VariabilitySpec] = None,
@@ -258,37 +225,3 @@ def single_element_cluster(
     var = _replace(var, element_spread_sigma=0.0)
     spec = tianhe1_cluster(cabinets=1, gpu_clock_mhz=gpu_clock_mhz, variability=var)
     return Cluster(spec, seed=seed)
-
-
-def run_linpack_element(
-    configuration: str,
-    n: int,
-    gpu_clock_mhz: float = STANDARD_CLOCK_MHZ,
-    variability: Optional[VariabilitySpec] = None,
-    seed: int = 7,
-    collect_steps: bool = False,
-    overrides: Optional[dict] = None,
-    progress=None,
-    telemetry=None,
-) -> LinpackResult:
-    """Deprecated: build a :class:`repro.session.Scenario` (default grid is
-    already the single-element Section VI.B setting) and call
-    :meth:`repro.session.Session.run` instead.  Results are identical."""
-    warnings.warn(
-        "run_linpack_element() is deprecated; build a repro.session.Scenario "
-        "and call Session.run() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    cluster = single_element_cluster(gpu_clock_mhz, variability)
-    return _run_linpack(
-        configuration,
-        n,
-        cluster,
-        ProcessGrid(1, 1),
-        seed=seed,
-        collect_steps=collect_steps,
-        overrides=overrides,
-        progress=progress,
-        telemetry=telemetry,
-    )

@@ -104,8 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="METRIC",
         help="metric that exits 1 even under --warn-only (repeatable; "
-        "the bench-smoke lane blocks on des_engine.events_per_second and "
-        "des_feasibility.grid8x8_events_per_second)",
+        "the bench-smoke lane blocks on des_engine.scalar_events_per_second "
+        "and des_feasibility.grid8x8_events_per_second)",
     )
     return parser
 

@@ -34,11 +34,8 @@ DEFAULT_HISTORY_PATH = Path("benchmarks") / "BENCH_history.jsonl"
 #: Tracked metric → direction ("higher" is better, or "lower" is better).
 #: Keys are dotted paths into the ``bench_perf`` report.
 TRACKED_METRICS: dict[str, str] = {
-    # Headline: the batched device-completion storm through the calendar
-    # queue (entries before the calendar-queue engine measured the scalar
-    # mix under this key; direction-aware detection treats the jump as an
-    # improvement, and the scalar path keeps its own key below).
-    "des_engine.events_per_second": "higher",
+    # The DES kernel's relay-heavy scalar mix (one generator resume per
+    # event, the path every simulation takes).
     "des_engine.scalar_events_per_second": "higher",
     # The "largest DES-feasible machine" tracker (grid-scale crossval
     # cells verified inside the wall budget): shrinking grids regress.

@@ -43,7 +43,6 @@ from repro.session.runtime import (
     RunHandle,
     RunState,
     SessionEvent,
-    map_tasks,
     run_sweep,
 )
 from repro.session.scenario import Scenario, SchedulerSpec
@@ -66,6 +65,5 @@ __all__ = [
     "SweepJournal",
     "ResumePlan",
     "JOURNAL_NAME",
-    "map_tasks",
     "run_sweep",
 ]

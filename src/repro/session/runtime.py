@@ -20,9 +20,9 @@ Three layers, composed:
   persistent :class:`repro.exec.WorkerPool` round-robin across tenants
   (bounded admission queues, per-tenant in-flight caps), with every job
   tracked by a :class:`RunHandle` that reaches **exactly one** terminal
-  state — completed, failed, or cancelled.  ``repro.exec.run_tasks``
-  batches route through :func:`map_tasks` under
-  ``ExecutionPolicy(runtime="async")`` (the bench CLIs' ``--async`` flag).
+  state — completed, failed, or cancelled.  Batch sweeps do not come
+  through here: :func:`repro.exec.run_tasks` fans them out over a
+  :class:`~repro.exec.WorkerPool` of its own.
 * :class:`AsyncSession` — the scenario front-end: ``submit()`` pickles the
   :class:`~repro.session.Scenario` onto a worker, ``handle.stream()`` tails
   the per-job :mod:`repro.obs.stream` event file the worker appends to
@@ -53,8 +53,7 @@ from pathlib import Path
 from typing import Any, AsyncIterator, Callable, Optional, Sequence, Union
 
 from repro import obs
-from repro.exec.policy import ExecutionPolicy
-from repro.exec.pool import WorkerPool, _register_shards, _run_sharded, in_worker
+from repro.exec.pool import WorkerPool
 from repro.hpl.driver import LinpackResult
 from repro.session.fair_share import (
     DEFAULT_MAX_IN_FLIGHT,
@@ -72,7 +71,6 @@ __all__ = [
     "RunHandle",
     "AsyncRuntime",
     "AsyncSession",
-    "map_tasks",
     "run_sweep",
 ]
 
@@ -335,11 +333,6 @@ def _execute_scenario(scenario: Scenario, events_path: Optional[str] = None) -> 
             + "\n"
         )
     return result
-
-
-def _execute_call(fn: Callable[..., Any], kwargs: dict) -> Any:
-    """Generic job body for :func:`map_tasks` (module-level, picklable)."""
-    return fn(**kwargs)
 
 
 # -- the runtime core ----------------------------------------------------------
@@ -657,65 +650,7 @@ class AsyncSession(AsyncRuntime):
         return self
 
 
-# -- batch adapters ------------------------------------------------------------
-
-
-def map_tasks(
-    fn: Callable[..., Any],
-    calls: Sequence[dict],
-    *,
-    policy: Optional[ExecutionPolicy] = None,
-    label: str = "",
-) -> list[Any]:
-    """:func:`repro.exec.run_tasks` routed through the async runtime.
-
-    Same contract: results ordered like *calls*, failures propagate as the
-    original exception, serial fallback inside pool workers and under
-    purely in-memory telemetry.  Installed via
-    ``ExecutionPolicy(runtime="async")`` — sweeps gain fair-share admission
-    and the persistent pool without changing a line.
-    """
-    from repro.exec.policy import current as current_policy
-
-    policy = policy if policy is not None else current_policy()
-    calls = list(calls)
-    if not calls:
-        return []
-    jobs = min(policy.resolved_jobs, len(calls))
-    telemetry = obs.current()
-    shard_dir = telemetry.shard_dir if telemetry is not None else None
-    serial = jobs <= 1 or in_worker() or (telemetry is not None and shard_dir is None)
-    for _ in calls:
-        policy.stats.count_task(not serial)
-    if telemetry is not None and not serial:
-        telemetry.flush()  # children must not replay buffered parent records
-
-    async def _run() -> list[Any]:
-        async with AsyncRuntime(slots=jobs, serial=serial, max_in_flight=jobs) as runtime:
-            handles = []
-            for kwargs in calls:
-                if shard_dir is not None and not serial:
-                    handles.append(
-                        runtime.submit_job(
-                            _run_sharded,
-                            {"fn": fn, "shard_dir": str(shard_dir), "kwargs": kwargs},
-                            tenant=label or "batch",
-                        )
-                    )
-                else:
-                    handles.append(
-                        runtime.submit_job(
-                            _execute_call,
-                            {"fn": fn, "kwargs": kwargs},
-                            tenant=label or "batch",
-                        )
-                    )
-            return [await handle.result() for handle in handles]
-
-    results = asyncio.run(_run())
-    if telemetry is not None and shard_dir is not None and not serial:
-        _register_shards(telemetry, Path(shard_dir))
-    return results
+# -- the checkpoint/resume driver ----------------------------------------------
 
 
 def run_sweep(

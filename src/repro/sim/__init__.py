@@ -25,7 +25,6 @@ are resources.  The engine is a deliberately compact SimPy-style kernel:
 from repro.sim.engine import (
     AllOf,
     AnyOf,
-    BatchTimeout,
     Event,
     Process,
     SimStats,
@@ -39,7 +38,6 @@ from repro.sim.trace import TraceRecord, Tracer
 __all__ = [
     "AllOf",
     "AnyOf",
-    "BatchTimeout",
     "Event",
     "Process",
     "SimulationError",

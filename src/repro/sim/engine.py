@@ -15,23 +15,15 @@ width adapts to the observed event density (see :meth:`Simulator._advance`),
 and because the bucket index is a monotone function of the timestamp, the
 pop order is always exactly the ``(when, sequence)`` total order the old
 single-heap calendar produced — golden traces are byte-identical across the
-two implementations.
-
-Same-timestamp *device-completion* events can additionally be coalesced
-through :meth:`Simulator.schedule_batch`: all completions sharing a
-timestamp become one :class:`BatchTimeout` calendar entry carrying a numpy
-payload, so a million-completion epoch costs one dispatch instead of a
-million generator resumes.  :meth:`Simulator.step_batch` drains a whole
-same-time epoch in one call.
+two implementations.  Every calendar entry is one event: ``step`` processes
+exactly one, and the kernel counters count them one by one.
 """
 
 from __future__ import annotations
 
 import time
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional, Sequence
-
-import numpy as np
+from typing import Any, Callable, Generator, Iterable, Optional
 
 
 class SimulationError(RuntimeError):
@@ -102,10 +94,6 @@ class Event:
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_defused", "_poolable")
-
-    #: How many logical events this calendar entry stands for.  Plain events
-    #: are singletons; :class:`BatchTimeout` overrides this per instance.
-    _nevents = 1
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -197,36 +185,6 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         sim._enqueue(self, self.delay)
-
-
-class BatchTimeout(Event):
-    """One calendar entry standing for *count* same-timestamp completions.
-
-    Created by :meth:`Simulator.schedule_batch`.  ``value`` is the numpy
-    array of the coalesced completions' values (input order preserved
-    within the batch); ``count`` is how many logical events this entry
-    represents — the kernel's ``events_processed``/queue-depth accounting
-    weights the entry accordingly, so throughput numbers stay comparable
-    with the one-Event-per-completion encoding.
-    """
-
-    __slots__ = ("delay", "count", "_nevents")
-
-    def __init__(
-        self, sim: "Simulator", delay: float, values: np.ndarray, count: int
-    ) -> None:
-        if delay < 0:
-            raise ValueError(f"batch delay must be >= 0, got {delay}")
-        if count < 1:
-            raise ValueError(f"batch count must be >= 1, got {count}")
-        super().__init__(sim)
-        self.delay = float(delay)
-        self.count = int(count)
-        self._nevents = self.count
-        self._ok = True
-        self._value = values
-        sim._batch_extra += self.count - 1
-        sim._enqueue(self, delay=self.delay, weight=self.count)
 
 
 class Process(Event):
@@ -403,7 +361,6 @@ class Simulator:
         "max_queue_depth",
         "_wall_seconds",
         "_event_pool",
-        "_batch_extra",
         # calendar queue
         "_front",
         "_front_hi",
@@ -432,14 +389,12 @@ class Simulator:
         # millions of events per run that allocation is the kernel's hottest
         # line after the calendar itself.
         self._event_pool: list[Event] = []
-        # Extra logical events carried by BatchTimeout entries (stats only).
-        self._batch_extra = 0
         # -- calendar queue ---------------------------------------------------
         # _front is the heap-ordered head segment of the calendar: every
         # buffered entry whose bucket index is <= _front_hi.  All later
         # entries sit in unsorted per-bucket lists in _buckets, with the
         # pending bucket indices in the _bucket_keys min-heap.  _count is the
-        # total number of buffered *logical* events (batch entries weighted).
+        # total number of buffered events.
         self._front: list[tuple[float, int, Event]] = []
         self._front_hi = 0
         self._buckets: dict[int, list[tuple[float, int, Event]]] = {}
@@ -482,59 +437,6 @@ class Simulator:
         """Race over *events*."""
         return AnyOf(self, events)
 
-    def schedule_batch(
-        self,
-        delays: "np.ndarray | Sequence[float]",
-        values: Optional["np.ndarray | Sequence[Any]"] = None,
-        on_complete: Optional[Callable[[Event], None]] = None,
-    ) -> list[BatchTimeout]:
-        """Schedule many completion events at once, coalesced by timestamp.
-
-        All completions sharing a delay become **one** :class:`BatchTimeout`
-        calendar entry whose value is the numpy array of their *values*
-        (input order preserved within each batch); with ``values=None`` the
-        value is simply the shared delay, skipping the per-event regroup
-        entirely.  ``events_processed`` and the queue-depth counters weight
-        each entry by its batch size, so kernel accounting is identical to
-        scheduling one :class:`Timeout` per completion — only the dispatch
-        cost collapses from O(events) to O(distinct timestamps).
-
-        This is the numpy fast path for same-time *device-completion* storms
-        (a wave of DMA transfers finishing on the same tick, a bucket of
-        ranks leaving a barrier): payloads that are plain numbers vectorize;
-        payloads needing per-event callbacks should stay on :meth:`timeout`.
-        Returns the batch entries in increasing-timestamp order.
-        """
-        delay_array = np.asarray(delays, dtype=np.float64).ravel()
-        if delay_array.size == 0:
-            return []
-        if np.any(delay_array < 0) or not np.all(np.isfinite(delay_array)):
-            raise ValueError("batch delays must be finite and >= 0")
-        events: list[BatchTimeout] = []
-        if values is None:
-            uniq, counts = np.unique(delay_array, return_counts=True)
-            for d, n in zip(uniq.tolist(), counts.tolist()):
-                events.append(BatchTimeout(self, d, d, n))
-        else:
-            value_array = np.asarray(values)
-            if value_array.shape[0] != delay_array.shape[0]:
-                raise ValueError(
-                    f"values length {value_array.shape[0]} != delays length "
-                    f"{delay_array.shape[0]}"
-                )
-            uniq, counts = np.unique(delay_array, return_counts=True)
-            # Stable grouping: within a timestamp, values keep input order.
-            order = np.argsort(delay_array, kind="stable")
-            grouped = value_array[order]
-            start = 0
-            for d, n in zip(uniq.tolist(), counts.tolist()):
-                events.append(BatchTimeout(self, d, grouped[start : start + n], n))
-                start += n
-        if on_complete is not None:
-            for event in events:
-                event.add_callback(on_complete)
-        return events
-
     def _internal_event(self) -> Event:
         """A pooled kernel-internal event (recycled by :meth:`step`)."""
         pool = self._event_pool
@@ -550,7 +452,7 @@ class Simulator:
         return event
 
     # -- calendar --------------------------------------------------------------
-    def _enqueue(self, event: Event, delay: float, weight: int = 1) -> None:
+    def _enqueue(self, event: Event, delay: float) -> None:
         when = self._now + delay
         seq = self._sequence
         self._sequence = seq + 1
@@ -584,7 +486,7 @@ class Simulator:
             # *is* the new front.
             front.append(entry)
             self._front_hi = idx
-        count = self._count + weight
+        count = self._count + 1
         self._count = count
         if count > self.max_queue_depth:
             self.max_queue_depth = count
@@ -678,7 +580,7 @@ class Simulator:
         heapify(self._bucket_keys)
 
     def step(self) -> None:
-        """Process exactly one calendar entry (a batch entry counts as many)."""
+        """Process exactly one event."""
         front = self._front
         if not front:
             self._advance()
@@ -688,9 +590,8 @@ class Simulator:
         if when < self._now:  # pragma: no cover - internal invariant
             raise SimulationError("event calendar went backwards in time")
         self._now = when
-        nevents = event._nevents
-        self.events_processed += nevents
-        self._count -= nevents
+        self.events_processed += 1
+        self._count -= 1
         callbacks = event.callbacks
         event.callbacks = None
         assert callbacks is not None
@@ -705,24 +606,6 @@ class Simulator:
             # resume) and no outside references survive processing.
             self._event_pool.append(event)
 
-    def step_batch(self) -> int:
-        """Drain the entire next same-timestamp epoch; returns events processed.
-
-        Processes every calendar entry scheduled at the next pending
-        timestamp, *including* entries scheduled at that same timestamp by
-        the callbacks it runs (zero-delay follow-ons stay inside the epoch).
-        One :class:`BatchTimeout` dispatch counts all its coalesced
-        completions.
-        """
-        epoch = self.peek()
-        if epoch == float("inf"):
-            raise SimulationError("step_batch() on an empty event calendar")
-        before = self.events_processed
-        step = self.step
-        while self._count and self.peek() == epoch:
-            step()
-        return self.events_processed - before
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the calendar is empty."""
         front = self._front
@@ -735,17 +618,16 @@ class Simulator:
     def stats(self) -> SimStats:
         """Kernel counters: event totals, queue depths, sim-vs-wall time.
 
-        ``events_scheduled`` counts every logical event ever enqueued
-        (batch entries weighted by their size); ``queue_depth`` and
-        ``max_queue_depth`` count *buffered* logical events across the
-        whole calendar — the heap-ordered front segment plus every pending
-        bucket, weighted the same way; ``wall_seconds`` accumulates real
+        ``events_scheduled`` counts every event ever enqueued;
+        ``queue_depth`` and ``max_queue_depth`` count *buffered* events
+        across the whole calendar — the heap-ordered front segment plus
+        every pending bucket; ``wall_seconds`` accumulates real
         time spent inside :meth:`run`, so ``stats().sim_per_wall`` is the
         simulator's speed ratio.
         """
         return SimStats(
             now=self._now,
-            events_scheduled=self._sequence + self._batch_extra,
+            events_scheduled=self._sequence,
             events_processed=self.events_processed,
             queue_depth=self._count,
             max_queue_depth=self.max_queue_depth,

@@ -33,6 +33,13 @@ def boom(x: int) -> int:
     raise ValueError(f"boom {x}")
 
 
+def nested_square(x: int) -> tuple[list[int], bool, int]:
+    """Calls run_tasks with jobs=2 from wherever it runs (a worker, here)."""
+    policy = ExecutionPolicy(jobs=2)
+    results = run_tasks(square_plus, [dict(x=x), dict(x=x + 1)], policy=policy)
+    return results, pool_mod.in_worker(), policy.stats.parallel_tasks
+
+
 class TestRunTasks:
     def test_empty(self):
         assert run_tasks(square_plus, []) == []
@@ -128,6 +135,13 @@ class TestRunTasks:
         policy = ExecutionPolicy(jobs=4)
         assert run_tasks(square_plus, [dict(x=3)], policy=policy) == [9]
         assert policy.stats.parallel_tasks == 0
+
+    def test_real_pool_never_nests(self):
+        # No monkeypatch: the WorkerPool initializer itself must mark each
+        # worker, so the inner jobs=2 batch runs serially inside it.
+        calls = [dict(x=x) for x in range(3)]
+        out = run_tasks(nested_square, calls, policy=ExecutionPolicy(jobs=2))
+        assert out == [([x * x, (x + 1) * (x + 1)], True, 0) for x in range(3)]
 
     def test_single_call_stays_serial(self):
         policy = ExecutionPolicy(jobs=4)

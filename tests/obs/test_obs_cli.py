@@ -36,7 +36,7 @@ def _entry(wall, *, quick=True, cpus=8, eps=200_000.0, sweep=2.0):
         "cpu_count": cpus,
         "code_version": "abc",
         "metrics": {
-            "des_engine.events_per_second": eps,
+            "des_engine.scalar_events_per_second": eps,
             "fig9_sweep.serial_seconds": sweep,
         },
     }
@@ -136,7 +136,7 @@ class TestRegressCommand:
         history.append_entry(_entry(3.0, eps=100_000.0), path)  # -50% throughput
         assert main(["regress", "--history", str(path)]) == 1
         err = capsys.readouterr().err
-        assert "REGRESSION" in err and "des_engine.events_per_second" in err
+        assert "REGRESSION" in err and "des_engine.scalar_events_per_second" in err
 
     def test_warn_only_reports_but_exits_0(self, tmp_path, capsys):
         path = tmp_path / "h.jsonl"
@@ -158,7 +158,7 @@ class TestHistoryModel:
     def test_entry_from_report_flattens_tracked_metrics(self):
         report = {
             "meta": {"quick": True, "jobs": 4, "cpu_count": 8, "code_version": "abc"},
-            "des_engine": {"events_per_second": 123456.0},
+            "des_engine": {"scalar_events_per_second": 123456.0},
             "fig9_sweep": {"serial_seconds": 3.5},
             "unrelated": {"events_per_second": 1.0},
         }
@@ -166,7 +166,7 @@ class TestHistoryModel:
         assert entry["wall_unix"] == 42.0
         assert entry["quick"] is True and entry["cpu_count"] == 8
         assert entry["metrics"] == {
-            "des_engine.events_per_second": 123456.0,
+            "des_engine.scalar_events_per_second": 123456.0,
             "fig9_sweep.serial_seconds": 3.5,
         }
 
@@ -210,6 +210,6 @@ class TestHistoryModel:
 
     def test_describe_names_direction(self):
         regression = history.Regression(
-            "des_engine.events_per_second", "higher", 200_000.0, 100_000.0, 0.5
+            "des_engine.scalar_events_per_second", "higher", 200_000.0, 100_000.0, 0.5
         )
         assert "fell" in regression.describe()

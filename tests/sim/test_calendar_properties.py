@@ -11,11 +11,10 @@ model and compares the full firing order.
 
 import heapq
 
-import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sim import BatchTimeout, SimulationError, Simulator
+from repro.sim import Simulator
 
 # Delay streams: mixes of zero, tiny, unit-scale and bucket-spanning delays,
 # with duplicates made likely by drawing from a coarse lattice.
@@ -230,91 +229,3 @@ class TestQueueDepthAccounting:
             sim.timeout(1.0)
         sim.run()
         assert sim.stats().max_queue_depth == 4
-
-    def test_batch_entries_weighted(self):
-        """One BatchTimeout counts as its batch size everywhere."""
-        sim = Simulator()
-        sim.schedule_batch(np.array([1.0] * 500 + [2.0] * 300))
-        stats = sim.stats()
-        assert stats.queue_depth == 800
-        assert stats.events_scheduled == 800
-        sim.run()
-        stats = sim.stats()
-        assert stats.events_processed == 800
-        assert stats.queue_depth == 0
-        assert stats.max_queue_depth == 800
-
-
-class TestBatchDispatch:
-    @given(
-        st.lists(
-            st.integers(min_value=0, max_value=20).map(lambda k: k * 0.5),
-            min_size=1,
-            max_size=300,
-        )
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_batch_completion_times_match_scalar(self, delays):
-        """schedule_batch fires at the same instants as per-event timeouts."""
-        scalar = Simulator()
-        fired_scalar = []
-        for d in delays:
-            scalar.timeout(d).add_callback(lambda e, d=d: fired_scalar.append((scalar.now, d)))
-        scalar.run()
-
-        batched = Simulator()
-        fired_batched = []
-
-        def on_complete(event):
-            fired_batched.extend((batched.now, event.value) for _ in range(event.count))
-
-        batched.schedule_batch(np.asarray(delays), on_complete=on_complete)
-        batched.run()
-        assert sorted(fired_batched) == sorted(fired_scalar)
-        assert batched.events_processed == scalar.events_processed
-
-    def test_values_keep_input_order_within_batch(self):
-        sim = Simulator()
-        delays = [2.0, 1.0, 2.0, 1.0, 2.0]
-        values = [10, 11, 12, 13, 14]
-        batches = sim.schedule_batch(delays, values=values)
-        sim.run()
-        assert [b.delay for b in batches] == [1.0, 2.0]
-        assert batches[0].value.tolist() == [11, 13]
-        assert batches[1].value.tolist() == [10, 12, 14]
-
-    def test_step_batch_drains_one_epoch(self):
-        sim = Simulator()
-        sim.schedule_batch([1.0] * 10)
-        sim.timeout(1.0)
-        sim.timeout(2.0)
-        assert sim.step_batch() == 11
-        assert sim.now == 1.0
-        assert sim.stats().queue_depth == 1
-
-    def test_step_batch_includes_same_time_follow_ons(self):
-        sim = Simulator()
-        sim.timeout(1.0).add_callback(lambda e: sim.timeout(0.0))
-        sim.timeout(2.0)
-        assert sim.step_batch() == 2  # the 1.0 event and its 0-delay follow-on
-        assert sim.now == 1.0
-
-    def test_step_batch_on_empty_raises(self):
-        import pytest
-
-        with pytest.raises(SimulationError):
-            Simulator().step_batch()
-
-    def test_batch_rejects_bad_input(self):
-        import pytest
-
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            sim.schedule_batch([-1.0])
-        with pytest.raises(ValueError):
-            sim.schedule_batch([float("inf")])
-        with pytest.raises(ValueError):
-            sim.schedule_batch([1.0, 2.0], values=[1])
-        with pytest.raises(ValueError):
-            BatchTimeout(sim, 1.0, np.array([1.0]), count=0)
-        assert sim.schedule_batch([]) == []

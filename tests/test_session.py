@@ -4,8 +4,6 @@ import pytest
 
 from repro.hpl.driver import (
     Configuration,
-    run_linpack,
-    run_linpack_element,
     single_element_cluster,
     validate_overrides,
 )
@@ -151,19 +149,3 @@ class TestDeprecatedShims:
         with pytest.warns(DeprecationWarning):
             with pytest.raises(ValueError, match="not both"):
                 Scenario(configuration="cpu", scheduler="adaptive", n=N)
-
-    def test_run_linpack_element_warns_and_matches_session(self):
-        with pytest.warns(DeprecationWarning, match="run_linpack_element"):
-            old = run_linpack_element("acmlg_both", N, seed=7)
-        new = Session(Scenario(scheduler="acmlg_both", n=N, seed=7)).run()
-        assert old.gflops == new.gflops
-        assert old.elapsed == new.elapsed
-
-    def test_run_linpack_warns_and_matches_session(self):
-        cluster = single_element_cluster()
-        with pytest.warns(DeprecationWarning, match="run_linpack"):
-            old = run_linpack("cpu", N, cluster, ProcessGrid(1, 1), seed=7)
-        new = run(
-            Scenario(scheduler="cpu", n=N, cluster=cluster, seed=7)
-        )
-        assert old.gflops == new.gflops
